@@ -33,6 +33,11 @@ class TokenBucket:
         #: backlog) instead of O(all workers) — the difference between 8
         #: and 1000 workers.
         self._nonempty: set[int] = set()
+        #: Level → {wid: number of that level's tokens in wid's STB},
+        #: zero counts and empty levels deleted.  A CTD-restricted helper elects among
+        #: the STBs that hold a level it may take (:meth:`holders`)
+        #: instead of scanning every non-empty STB's tokens.
+        self._by_level: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -64,6 +69,7 @@ class TokenBucket:
         stb[token.tid] = token
         self._size += 1
         self._nonempty.add(token.home_worker)
+        self._count_level(token.level, token.home_worker)
 
     def add_many(self, tokens: _t.Iterable[Token]) -> None:
         """Bulk-insert freshly generated tokens (one mint burst).
@@ -75,6 +81,7 @@ class TokenBucket:
         stbs = self._stbs
         num_workers = self.num_workers
         nonempty = self._nonempty
+        count_level = self._count_level
         count = 0
         for token in tokens:
             home = token.home_worker
@@ -88,6 +95,7 @@ class TokenBucket:
                 raise SchedulingError(f"token {token.tid} added twice")
             stb[token.tid] = token
             nonempty.add(home)
+            count_level(token.level, home)
             count += 1
         self._size += count
 
@@ -101,8 +109,24 @@ class TokenBucket:
             )
         del stb[token.tid]
         self._size -= 1
+        home = token.home_worker
         if not stb:
-            self._nonempty.discard(token.home_worker)
+            self._nonempty.discard(home)
+        holders = self._by_level[token.level]
+        left = holders[home] - 1
+        if left:
+            holders[home] = left
+        elif len(holders) > 1:
+            del holders[home]
+        else:
+            del self._by_level[token.level]
+
+    def _count_level(self, level: int, home: int) -> None:
+        holders = self._by_level.get(level)
+        if holders is None:
+            self._by_level[level] = {home: 1}
+        else:
+            holders[home] = holders.get(home, 0) + 1
 
     # -- queries -----------------------------------------------------------------
 
@@ -121,6 +145,19 @@ class TokenBucket:
     def all_tokens(self) -> list[Token]:
         """Every available token, across all STBs."""
         return [token for stb in self._stbs for token in stb.values()]
+
+    def holders(self, level: int) -> _t.Collection[int]:
+        """Workers whose STBs hold at least one token of ``level``.
+
+        An unordered view of the level index (do not mutate the bucket
+        while iterating it); callers must consume it order-insensitively.
+        """
+        return self._by_level.get(level, {}).keys()
+
+    def nonempty(self) -> _t.Collection[int]:
+        """Workers whose STBs hold tokens, as an unordered view (same
+        contract as :meth:`holders`)."""
+        return self._nonempty
 
     def nonempty_stbs(self, exclude: int | None = None) -> list[int]:
         """Workers whose STBs still hold tokens (ascending wid).

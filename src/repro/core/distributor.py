@@ -200,10 +200,11 @@ class TokenDistributor:
         Prefer the straggler this worker is already helping (sticky
         assignment); otherwise elect the straggler with the fewest current
         helpers, then the slowest progress (largest STB backlog), then the
-        lowest id.  Only the elected straggler's pool is materialized:
-        a CTD-restricted helper checks the losers with a short-circuit
-        scan, and an unrestricted one (subset member or CTD off) may take
-        anything, so every non-empty STB qualifies outright.
+        lowest id.  Only the elected straggler's pool is materialized.
+        An unrestricted helper (subset member or CTD off) may take
+        anything, so every non-empty STB qualifies; a CTD-restricted one
+        elects among the STBs the bucket's level index lists for its
+        takeable levels, without looking at any token.
         """
         restricted = (
             self.config.ctd_enabled and wid not in self.current_subset()
@@ -222,23 +223,30 @@ class TokenDistributor:
             self._stop_helping(wid)
 
         helpers = self._helpers
+        # Candidates come from the bucket's unordered indexes: every
+        # non-empty STB for an unrestricted helper, else the STBs holding
+        # a level it may take (a worker may repeat, once per level).
+        # Keys are unique per straggler, so the strict-< running minimum
+        # elects the straggler a sorted scan would, in any visiting order.
+        groups: _t.Sequence[_t.Collection[int]] = (
+            (bucket.nonempty(),)
+            if levels is None
+            else [bucket.holders(level) for level in levels]
+        )
         best_key: tuple[int, int, int] | None = None
         best = -1
-        for straggler in bucket.nonempty_stbs(exclude=wid):
-            if levels is not None and not any(
-                t.level in levels for t in bucket.stb_view(straggler)
-            ):
-                continue
-            key = (
-                len(helpers.get(straggler, ())),
-                -bucket.stb_size(straggler),
-                straggler,
-            )
-            # Stragglers are unique per candidate, so the strict < running
-            # minimum equals the old sort()[0] without building the pools.
-            if best_key is None or key < best_key:
-                best_key = key
-                best = straggler
+        for group in groups:
+            for straggler in group:
+                if straggler == wid:
+                    continue
+                key = (
+                    len(helpers.get(straggler, ())),
+                    -bucket.stb_size(straggler),
+                    straggler,
+                )
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = straggler
         if best_key is None:
             return []
         self._helping[wid] = best

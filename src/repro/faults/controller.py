@@ -241,6 +241,10 @@ class FaultController:
             and process is not None
             and process.is_alive
         ):
+            # Cleared at send time: a second nudge or revive before this
+            # one lands must not queue another ReviveWork, which would
+            # hit the worker after it left the park.
+            worker._parked = False
             process.interrupt(ReviveWork())
 
     # -- detection ------------------------------------------------------------
@@ -352,6 +356,7 @@ class FaultController:
                 continue
             process = self.runtime._worker_procs.get(worker.wid)
             if process is not None and process.is_alive:
+                worker._parked = False  # one ReviveWork per park
                 process.interrupt(ReviveWork())
 
     # -- membership hooks (called by server / worker / runtime) ---------------

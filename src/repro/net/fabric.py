@@ -68,39 +68,9 @@ class FabricStats:
     flows_completed: int = 0
     bytes_transferred: float = 0.0
     #: Waterfills over the whole flow table / over one dirty component.
+    #: An isolated flow admitted without a solve counts in neither.
     solves_full: int = 0
     solves_restricted: int = 0
-    #: Single-flow add/remove churn absorbed by the rate-reuse path
-    #: without re-solving, and churn that was eligible (single flow,
-    #: record present) but failed the proof obligation and fell back.
-    reuse_hits: int = 0
-    reuse_fallbacks: int = 0
-
-
-class _ReuseState:
-    """The frozen cascade of the last full-table waterfill.
-
-    ``res``/``members`` hold, per resource key, the residual capacity
-    after every flow froze and the total number of member flows;
-    ``s_max`` is the largest frozen share.  ``stack`` records flows
-    admitted by the add-reuse proof afterwards, LIFO, each with the
-    exact pre-add values of everything the add mutated — popping the
-    stack on removal restores the record bit-for-bit, so no
-    floating-point drift can accumulate across add/remove cycles.
-    """
-
-    __slots__ = ("res", "members", "s_max", "stack")
-
-    def __init__(
-        self,
-        res: dict[int, float],
-        members: dict[int, int],
-        s_max: float,
-    ) -> None:
-        self.res = res
-        self.members = members
-        self.s_max = s_max
-        self.stack: list[tuple[_t.Any, ...]] = []
 
 
 class Fabric:
@@ -180,13 +150,6 @@ class Fabric:
         #: rounds-times-entries product outgrows its bookkeeping, so
         #: small solves keep the scan.  Host-side knob; tests sweep it.
         self.waterfill_heap_cutoff: int = 48
-        #: Flow-table size from which a full solve records its cascade
-        #: for the single-flow add/remove reuse path.  Below it the
-        #: record's upkeep costs more than the solve it might save.
-        self.reuse_cutoff: int = 128
-        #: Cascade record of the last full-table solve (``None`` when no
-        #: valid record exists; any non-reuse mutation invalidates it).
-        self._reuse: _ReuseState | None = None
         self._fid = itertools.count()
         self._last_settle = env.now
         #: Timeout armed for the next flow completion.  Cancellation is
@@ -196,6 +159,12 @@ class Fabric:
         #: process interrupt/respawn cycle.
         self._waker: _t.Any = None
         self._wake_cb = self._on_wake  # one bound method for the lifetime
+        #: Delay to the next completion as of the last arming (``inf``
+        #: with no flows).  Every settle and every rate change is
+        #: followed by a re-arm at the same instant, so while no time
+        #: has passed since the last settle this is still the minimum
+        #: of ``remaining / rate`` over the table.
+        self._next_dt = float("inf")
 
     # -- public API ---------------------------------------------------------
 
@@ -207,30 +176,7 @@ class Fabric:
         chunks and training samples on local storage are free to read, which
         is exactly the data-locality asymmetry Fela's policies exploit.
         """
-        self._check_node(src)
-        self._check_node(dst)
-        if size < 0:
-            raise SimulationError(f"transfer size must be >= 0: {size}")
-        done = self.env.event()
-        if src == dst or size == 0:
-            done.succeed(0.0)
-            return done
-        self.stats.flows_started += 1
-        self._settle()
-        flow = Flow(
-            fid=next(self._fid),
-            src=src,
-            dst=dst,
-            size=float(size),
-            remaining=float(size),
-            started_at=self.env.now,
-            done=done,
-        )
-        self._flows[flow.fid] = flow
-        if not self._index_stale:
-            self._index_flow(flow)
-        self._reallocate((src, self.num_nodes + dst), added=flow)
-        return done
+        return self._start(((src, dst, size),))[0]
 
     def transfer_many(
         self, requests: _t.Iterable[tuple[int, int, float]]
@@ -247,50 +193,7 @@ class Fabric:
         Collectives and input fetches launch their per-peer flow sets
         through this path.
         """
-        events: list[Event] = []
-        env = self.env
-        new_flows = False
-        started: Flow | None = None
-        count = 0
-        dirty: list[int] = []
-        for src, dst, size in requests:
-            self._check_node(src)
-            self._check_node(dst)
-            if size < 0:
-                raise SimulationError(
-                    f"transfer size must be >= 0: {size}"
-                )
-            done = env.event()
-            events.append(done)
-            if src == dst or size == 0:
-                done.succeed(0.0)
-                continue
-            if not new_flows:
-                # Settle once, at the instant the whole batch lands.
-                self._settle()
-                new_flows = True
-            self.stats.flows_started += 1
-            flow = Flow(
-                fid=next(self._fid),
-                src=src,
-                dst=dst,
-                size=float(size),
-                remaining=float(size),
-                started_at=env.now,
-                done=done,
-            )
-            self._flows[flow.fid] = flow
-            if not self._index_stale:
-                self._index_flow(flow)
-            started = flow
-            count += 1
-            dirty.append(src)
-            dirty.append(self.num_nodes + dst)
-        if new_flows:
-            # A batch of one is the same event sequence as transfer():
-            # let it ride the single-add reuse proof.
-            self._reallocate(dirty, added=started if count == 1 else None)
-        return events
+        return self._start(requests)
 
     @property
     def active_flows(self) -> list[Flow]:
@@ -317,29 +220,140 @@ class Fabric:
                 f"node index {node} outside [0, {self.num_nodes})"
             )
 
-    def _settle(self) -> None:
-        """Account bytes moved at the current rates since the last change."""
+    def _start(
+        self, requests: _t.Iterable[tuple[int, int, float]]
+    ) -> list[Event]:
+        """The one admission path behind :meth:`transfer` and
+        :meth:`transfer_many`: validate, build the flows, admit them."""
+        events: list[Event] = []
+        env = self.env
+        new: list[Flow] = []
+        for src, dst, size in requests:
+            self._check_node(src)
+            self._check_node(dst)
+            if size < 0:
+                raise SimulationError(
+                    f"transfer size must be >= 0: {size}"
+                )
+            done = env.event()
+            events.append(done)
+            if src == dst or size == 0:
+                done.succeed(0.0)
+                continue
+            new.append(
+                Flow(
+                    fid=next(self._fid),
+                    src=src,
+                    dst=dst,
+                    size=float(size),
+                    remaining=float(size),
+                    started_at=env.now,
+                    done=done,
+                )
+            )
+        if new:
+            self._admit(new)
+        return events
+
+    def _admit(self, new: list[Flow]) -> None:
+        """Settle, add a batch of flows landing at one instant, re-rate.
+
+        In the restricted regime (no aggregate switch, flow table above
+        ``incremental_cutoff``) a new flow whose tx and rx index groups
+        hold only itself is *isolated*: a one-flow component, which the
+        waterfill rates at ``link_bandwidth / 1``.  It gets exactly that
+        rate with no discovery and no solve; only the other new flows'
+        NICs go to :meth:`_dirty_component`.  Per-component solves equal
+        the full solve bit for bit, so the allocation is unchanged.
+
+        When the whole batch is isolated no existing rate changes, so
+        the settle pass (which walks the table anyway) also yields the
+        earliest completion among the old flows, and the waker is armed
+        at the smaller of that and the new flows' ``size / bandwidth``
+        — the value the rescan in :meth:`_schedule_wakeup` would find.
+        """
+        self.stats.flows_started += len(new)
+        flows = self._flows
+        restricted = (
+            self.switch_bandwidth is None
+            and len(flows) + len(new) > self.incremental_cutoff
+        )
+        if restricted and self._index_stale:
+            self._rebuild_index()
+        if not self._index_stale:
+            for flow in new:
+                self._index_flow(flow)
+        next_dt = self._settle()
+        for flow in new:
+            flows[flow.fid] = flow
+        if not restricted:
+            self._waterfill()
+            self._schedule_wakeup()
+            return
+        by_resource = self._by_resource
+        num_nodes = self.num_nodes
+        bandwidth = self.link_bandwidth
+        dirty: list[int] = []
+        for flow in new:
+            tx = flow.src
+            rx = num_nodes + flow.dst
+            if len(by_resource[tx]) == 1 and len(by_resource[rx]) == 1:
+                flow.rate = bandwidth
+                if bandwidth > _RATE_EPS:
+                    dt = flow.remaining / bandwidth
+                    if dt < next_dt:
+                        next_dt = dt
+            else:
+                dirty.append(tx)
+                dirty.append(rx)
+        if dirty:
+            self._waterfill(self._dirty_component(dirty))
+            self._schedule_wakeup()
+        else:
+            self._schedule_wakeup(next_dt)
+
+    def _settle(self) -> float:
+        """Account bytes moved at the current rates since the last change.
+
+        Returns the minimum of ``remaining / rate`` over flows with
+        ``rate > _RATE_EPS`` — exactly the delay the rescan in
+        :meth:`_schedule_wakeup` computes, as long as no rate changes
+        before the waker is armed.  When no time has passed since the
+        last settle nothing moves, and the delay found at the last
+        arming is still current (see ``_next_dt``).
+        """
         now = self.env.now
         elapsed = now - self._last_settle
-        self._last_settle = now
         if elapsed <= 0:
-            return
+            return self._next_dt
+        self._last_settle = now
         stats = self.stats
+        next_dt = float("inf")
         for flow in self._flows.values():
-            moved = min(flow.rate * elapsed, flow.remaining)
-            flow.remaining -= moved
+            rate = flow.rate
+            remaining = flow.remaining
+            moved = rate * elapsed
+            if moved > remaining:
+                moved = remaining
+            remaining -= moved
+            flow.remaining = remaining
             stats.bytes_transferred += moved
+            if rate > _RATE_EPS:
+                dt = remaining / rate
+                if dt < next_dt:
+                    next_dt = dt
+        return next_dt
 
     def _settle_and_find_due(self) -> list[Flow] | None:
         """One pass: account bytes *and* collect completion candidates.
 
-        Same arithmetic as :meth:`_settle` (``min`` spelled as a branch),
-        with the wake-up's completion predicate evaluated on each flow in
-        the same iteration — the flow table is walked once instead of
-        twice per completion event.  Returns ``None`` when no time has
-        passed since the last settle: nothing moved in this call, but an
-        *earlier* settle at the same instant may already have driven
-        flows to zero, so the caller must fall back to the full scan.
+        Same arithmetic as :meth:`_settle`, with the wake-up's completion
+        predicate evaluated on each flow in the same iteration — the flow
+        table is walked once instead of twice per completion event.
+        Returns ``None`` when no time has passed since the last settle:
+        nothing moved in this call, but an *earlier* settle at the same
+        instant may already have driven flows to zero, so the caller must
+        fall back to the full scan.
         """
         now = self.env.now
         elapsed = now - self._last_settle
@@ -380,46 +394,20 @@ class Fabric:
                 if not group:
                     del by_resource[key]
 
-    def _reallocate(
-        self,
-        dirty: _t.Iterable[int] | None = None,
-        added: Flow | None = None,
-        removed: Flow | None = None,
-    ) -> None:
+    def _reallocate(self, dirty: _t.Iterable[int]) -> None:
         """Recompute max-min fair rates and reschedule the wake-up.
 
-        ``dirty`` names the NIC resources touched by the flow add/remove
-        that triggered the call.  When given (no aggregate switch couples
-        every flow to every other, and the flow table is large enough for
-        the discovery to pay for itself — see ``incremental_cutoff``),
-        only the connected component of flows reachable from those
-        resources is re-solved; flows in untouched components keep their
-        rates, which the full progressive fill would reproduce
-        bit-for-bit anyway because disjoint components never share a
-        capacity term.
-
-        ``added``/``removed`` name the single flow when exactly one was
-        added or removed; with a valid cascade record the rate-reuse
-        proof (:meth:`_try_reuse_add` / :meth:`_try_reuse_remove`) may
-        then absorb the churn without any solve at all.  Whenever the
-        proof obligation fails, the normal solve path runs.
+        ``dirty`` names the NIC resources touched by the flow removals
+        that triggered the call.  When no aggregate switch couples every
+        flow to every other, and the flow table is large enough for the
+        discovery to pay for itself (see ``incremental_cutoff``), only
+        the connected component of flows reachable from those resources
+        is re-solved; flows in untouched components keep their rates,
+        which the full progressive fill would reproduce bit-for-bit
+        anyway because disjoint components never share a capacity term.
         """
-        if self._reuse is not None:
-            if added is not None and removed is None:
-                if self._try_reuse_add(added):
-                    self.stats.reuse_hits += 1
-                    self._schedule_wakeup()
-                    return
-                self.stats.reuse_fallbacks += 1
-            elif removed is not None and added is None:
-                if self._try_reuse_remove(removed):
-                    self.stats.reuse_hits += 1
-                    self._schedule_wakeup()
-                    return
-                self.stats.reuse_fallbacks += 1
         if (
-            dirty is None
-            or self.switch_bandwidth is not None
+            self.switch_bandwidth is not None
             or len(self._flows) <= self.incremental_cutoff
         ):
             self._waterfill()
@@ -436,86 +424,6 @@ class Fabric:
         for flow in self._flows.values():
             self._index_flow(flow)
         self._index_stale = False
-
-    def _try_reuse_add(self, flow: Flow) -> bool:
-        """Admit one new flow on top of the recorded cascade, if provable.
-
-        Sufficient condition, checked per entry ``e`` of the flow: the
-        entry's recorded residual capacity split across its member count
-        plus the newcomer still beats the cascade's largest frozen share
-        — ``res_e / (members_e + 1) > s_max``.  Then at every round of a
-        from-scratch solve the entry's offer would exceed that round's
-        share (caps only shrink toward the residual, counts only grow
-        toward the total, float division is monotone), so the newcomer
-        never preempts the recorded freeze order and simply freezes
-        alone in one extra final round at ``min(res_tx, res_rx)`` — the
-        exact rate a full re-solve would assign it, with every other
-        rate untouched.  Resources absent from the record carry a full
-        idle link.  The strict ``>`` also rules out ties, which the
-        linear scan would otherwise break by entry seniority.
-        """
-        rec = self._reuse
-        assert rec is not None
-        bandwidth = self.link_bandwidth
-        res = rec.res
-        members = rec.members
-        s_max = rec.s_max
-        tx = flow.src
-        rx = self.num_nodes + flow.dst
-        res_tx = res.get(tx, bandwidth)
-        mem_tx = members.get(tx, 0)
-        if res_tx / (mem_tx + 1) <= s_max:
-            return False
-        res_rx = res.get(rx, bandwidth)
-        mem_rx = members.get(rx, 0)
-        if res_rx / (mem_rx + 1) <= s_max:
-            return False
-        share = res_tx if res_tx <= res_rx else res_rx
-        flow.rate = share
-        rec.stack.append(
-            (flow.fid, tx, rx, res_tx, mem_tx, res_rx, mem_rx, s_max)
-        )
-        cap = res_tx - share
-        res[tx] = cap if cap > 0.0 else 0.0
-        cap = res_rx - share
-        res[rx] = cap if cap > 0.0 else 0.0
-        members[tx] = mem_tx + 1
-        members[rx] = mem_rx + 1
-        rec.s_max = share  # provably > the old maximum
-        return True
-
-    def _try_reuse_remove(self, flow: Flow) -> bool:
-        """Retire a reuse-added flow by unwinding its stack frame.
-
-        Only the most recent reuse-added flow qualifies: its round is
-        the cascade's last, it froze alone, and the frame holds the
-        exact pre-add residuals/counts/``s_max`` — restoring them yields
-        the record a full solve of the remaining flows would rebuild,
-        bit for bit, with no other rate touched.  Anything else (a flow
-        that froze inside the cascade, out-of-order removals, batched
-        completions) falls back to a real solve.
-        """
-        rec = self._reuse
-        assert rec is not None
-        if not rec.stack or rec.stack[-1][0] != flow.fid:
-            return False
-        _, tx, rx, res_tx, mem_tx, res_rx, mem_rx, s_max = rec.stack.pop()
-        res = rec.res
-        members = rec.members
-        if mem_tx:
-            res[tx] = res_tx
-            members[tx] = mem_tx
-        else:
-            del res[tx]
-            del members[tx]
-        if mem_rx:
-            res[rx] = res_rx
-            members[rx] = mem_rx
-        else:
-            del res[rx]
-            del members[rx]
-        rec.s_max = s_max
-        return True
 
     def _dirty_component(
         self, dirty: _t.Iterable[int]
@@ -583,10 +491,6 @@ class Fabric:
         slice of the full solve, because resources never span components,
         so the resulting rates are bit-identical.
         """
-        # Any solve invalidates the cascade record: a restricted solve
-        # leaves the record describing a table that no longer exists,
-        # and a full solve rebuilds it below when worthwhile.
-        self._reuse = None
         if component is None:
             self.stats.solves_full += 1
             flows: list[Flow] | _t.Any = list(self._flows.values())
@@ -719,29 +623,11 @@ class Fabric:
                         entry[0] = cap if cap > 0.0 else 0.0
                         entry[1] -= 1
 
-        if (
-            component is None
-            and not has_switch
-            and len(flows) >= self.reuse_cutoff
-        ):
-            # Record the cascade for the single-flow reuse proof: final
-            # residual capacity and total member count per resource,
-            # plus the largest frozen share (every rate IS its round's
-            # share, so the max rate is the max share).
-            s_max = 0.0
-            for flow in flows:
-                if flow.rate > s_max:
-                    s_max = flow.rate
-            self._reuse = _ReuseState(
-                res={key: entry[0] for key, entry in state.items()},
-                members={
-                    key: len(entry[2]) for key, entry in state.items()
-                },
-                s_max=s_max,
-            )
-
-    def _schedule_wakeup(self) -> None:
+    def _schedule_wakeup(self, next_dt: float | None = None) -> None:
         """(Re)arm the timer that fires at the next flow completion.
+
+        ``next_dt`` is the delay to the next completion when the caller
+        already knows it; ``None`` rescans the flow table for it.
 
         The timer is a bare :class:`Timeout` with :meth:`_on_wake` as its
         only callback — no process, no generator.  Rearming cancels the
@@ -760,20 +646,23 @@ class Fabric:
                     pass
             self._waker = None
         if not self._flows:
+            self._next_dt = float("inf")
             return
-        next_dt = float("inf")
-        for flow in self._flows.values():
-            rate = flow.rate
-            if rate > _RATE_EPS:
-                dt = flow.remaining / rate
-                if dt < next_dt:
-                    next_dt = dt
+        if next_dt is None:
+            next_dt = float("inf")
+            for flow in self._flows.values():
+                rate = flow.rate
+                if rate > _RATE_EPS:
+                    dt = flow.remaining / rate
+                    if dt < next_dt:
+                        next_dt = dt
         if next_dt == float("inf"):
             # No flow can progress (should not happen with positive
             # capacities); fail loudly rather than deadlock silently.
             raise SimulationError(
                 "network fabric stalled: active flows but zero rates"
             )
+        self._next_dt = next_dt
         waker = self.env.timeout(max(0.0, next_dt))
         waker.callbacks.append(self._wake_cb)
         self._waker = waker
@@ -832,6 +721,4 @@ class Fabric:
             flow.done._ok = True
             flow.done._value = duration
             self.env.schedule(flow.done, delay=self.latency)
-        self._reallocate(
-            dirty, removed=finished[0] if len(finished) == 1 else None
-        )
+        self._reallocate(dirty)

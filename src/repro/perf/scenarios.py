@@ -578,8 +578,7 @@ def _fabric_sparse_flows(_ctx: ScenarioContext) -> RunOnce:
     "micro.fabric_megacomponent",
     MICRO,
     "one ~1000-flow connected component: batched mega waterfills on "
-    "the full-solve path plus single-flow add/remove churn exercising "
-    "the rate-reuse proof (hits and full-solve fallbacks)",
+    "the full-solve path",
 )
 def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
     from repro.net import Fabric
@@ -591,13 +590,13 @@ def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
         bandwidth = 1.25e9
         fabric = Fabric(env, num_nodes=num_nodes, link_bandwidth=bandwidth)
 
-        # Phase 1 — mega full solves.  A zigzag ring over all nodes:
-        # every even node sends to both odd neighbours, so every flow is
-        # transitively coupled through shared tx/rx NICs into ONE
-        # ~1000-flow component.  Whole waves land through transfer_many
-        # (one solve per wave) with equal sizes, so every flow finishes
-        # at the same instant (one batched removal per wave) — each wave
-        # costs exactly one full waterfill of the giant component.
+        # A zigzag ring over all nodes: every even node sends to both
+        # odd neighbours, so every flow is transitively coupled through
+        # shared tx/rx NICs into ONE ~1000-flow component.  Whole waves
+        # land through transfer_many (one solve per wave) with equal
+        # sizes, so every flow finishes at the same instant (one batched
+        # removal per wave) — each wave costs exactly one full waterfill
+        # of the giant component.
         ring = [
             (even, (even + delta) % num_nodes, 2.0e6)
             for even in range(0, num_nodes, 2)
@@ -610,34 +609,6 @@ def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
 
         env.process(waves(6))
         env.run()
-
-        # Phase 2 — reuse churn against a standing mega component: 600
-        # senders into one anchor receiver freeze in a single cascade
-        # round, leaving every sender NIC nearly idle.  Short flows from
-        # a sender to an idle node then satisfy the add/remove reuse
-        # proof (residual capacity beats the cascade's last share), while
-        # a second flow into the saturated anchor violates it and must
-        # fall back to a full solve.
-        anchor = num_nodes - 1
-        spare = num_nodes - 2
-        # Sized so the star outlasts the whole churn sequence (~1.7 sim
-        # seconds): the reuse record only exists while the big standing
-        # component does.
-        star = [(sender, anchor, 5.0e6) for sender in range(600)]
-        standing = fabric.transfer_many(star)
-
-        def churn(count: int):
-            for index in range(count):
-                if index % 8 == 7:
-                    # Violator: the anchor rx has zero residual capacity,
-                    # so the reuse proof fails and the solver re-solves.
-                    yield fabric.transfer(600 + index % 16, anchor, 1.0e5)
-                else:
-                    yield fabric.transfer((index * 7) % 600, spare, 1.0e6)
-
-        env.process(churn(240))
-        env.run()
-        assert all(event.processed for event in standing)
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,

@@ -1,18 +1,11 @@
-"""Differential tests: heap waterfill and rate-reuse vs the naive paths.
+"""Differential tests: heap waterfill vs the naive per-round scan.
 
-Two optimizations ride the mega-component hot path and both claim
-*bit-identical* rates:
-
-* the lazy-invalidation min-heap replacing the per-round linear scan in
-  ``Fabric._waterfill`` (engaged above ``waterfill_heap_cutoff``
-  entries), and
-* the rate-reuse fast path for single-flow add/remove churn against a
-  big standing component (engaged at/above ``reuse_cutoff`` flows, with
-  a proof obligation that falls back to the full solve when unmet).
-
-Every test drives the same schedule through both variants — the cutoffs
-are host-side knobs, so forcing either path is a one-line override —
-and requires ``repr``-exact completion times.
+The lazy-invalidation min-heap replacing the per-round linear scan in
+``Fabric._waterfill`` (engaged above ``waterfill_heap_cutoff`` entries)
+claims *bit-identical* rates.  Every test drives the same schedule
+through both variants — the cutoff is a host-side knob, so forcing
+either path is a one-line override — and requires ``repr``-exact
+completion times.
 """
 
 import random
@@ -29,8 +22,6 @@ def _run_schedule(
     schedule,
     switch=None,
     heap_cutoff=None,
-    reuse_cutoff=None,
-    incremental_cutoff=None,
 ):
     """Run a transfer schedule; returns repr'd completion times."""
     env = Environment()
@@ -43,10 +34,6 @@ def _run_schedule(
     )
     if heap_cutoff is not None:
         fabric.waterfill_heap_cutoff = heap_cutoff
-    if reuse_cutoff is not None:
-        fabric.reuse_cutoff = reuse_cutoff
-    if incremental_cutoff is not None:
-        fabric.incremental_cutoff = incremental_cutoff
     finished: list[tuple[int, str]] = []
 
     def xfer(index, src, dst, size, start):
@@ -93,21 +80,6 @@ def test_heap_matches_naive_scan_with_switch(schedule):
     assert heap == naive
 
 
-@given(schedule=schedule_strategy)
-@settings(max_examples=40, deadline=None)
-def test_reuse_matches_full_solve(schedule):
-    """With the record built after every full solve (cutoff 1), each
-    single-flow add/remove attempts the reuse proof; hits and fallbacks
-    alike must leave the public schedule untouched."""
-    reuse, _ = _run_schedule(
-        10, schedule, reuse_cutoff=1, incremental_cutoff=10**9
-    )
-    plain, _ = _run_schedule(
-        10, schedule, reuse_cutoff=10**9, incremental_cutoff=10**9
-    )
-    assert reuse == plain
-
-
 def _seeded_schedule(seed, num_nodes, flows):
     rng = random.Random(seed)
     schedule = []
@@ -133,103 +105,3 @@ def test_seeded_heap_above_default_cutoff():
         naive, _ = _run_schedule(60, schedule, heap_cutoff=10**9)
         assert heap == naive, f"seed {seed}"
         assert repr(heap_stats.bytes_transferred) is not None
-
-
-def test_seeded_reuse_churn_differential():
-    """Five seeds of add/remove churn with reuse on vs off."""
-    for seed in (1, 2, 3, 4, 20260809):
-        schedule = _seeded_schedule(seed, 10, 80)
-        reuse, reuse_stats = _run_schedule(
-            10, schedule, reuse_cutoff=1, incremental_cutoff=10**9
-        )
-        plain, plain_stats = _run_schedule(
-            10, schedule, reuse_cutoff=10**9, incremental_cutoff=10**9
-        )
-        assert reuse == plain, f"seed {seed}"
-        assert repr(reuse_stats.bytes_transferred) == repr(
-            plain_stats.bytes_transferred
-        )
-        # Reuse never engaged on the plain variant.
-        assert plain_stats.reuse_hits == 0
-        assert plain_stats.reuse_fallbacks == 0
-
-
-def test_star_churn_hits_and_fallbacks():
-    """The designed hot pattern: a standing fan-in star plus single-flow
-    churn.  Non-violating churn flows ride the reuse record; a violator
-    into the saturated anchor and a non-LIFO completion both take the
-    documented full-solve fallback."""
-    env = Environment()
-    fabric = Fabric(env, num_nodes=10, link_bandwidth=100.0, latency=0.0)
-    fabric.reuse_cutoff = 4
-    anchor, spare = 8, 9
-
-    def xfer(src, dst, size):
-        yield fabric.transfer(src, dst, size)
-
-    # Distinct sizes: the star flows finish one at a time, so removals
-    # reach the reuse gate individually.
-    for sender in range(4):
-        env.process(xfer(sender, anchor, 100.0 + 8.0 * sender))
-
-    def churn():
-        yield env.timeout(1.0)
-        # Hit: the sender's NIC has plenty of residual headroom and the
-        # spare node is idle, so the proof holds for add and (LIFO)
-        # remove alike.
-        yield from xfer(0, spare, 30.0)
-        # Fallback: the anchor's rx NIC has zero residual, the proof
-        # fails, and the removal later finds an empty stack.
-        yield from xfer(5, anchor, 10.0)
-        # Fallback (non-LIFO): this long flow is still in flight when
-        # the first star flow completes, so that removal is not the
-        # stack top and must full-solve.
-        yield from xfer(1, spare, 500.0)
-
-    env.process(churn())
-    env.run()
-    stats = fabric.stats
-    assert stats.reuse_hits >= 3, stats
-    assert stats.reuse_fallbacks >= 3, stats
-    assert stats.flows_completed == 7
-
-
-def test_reuse_disabled_below_cutoff():
-    """Small flow tables never pay for record building: the default
-    cutoff keeps every reuse counter at zero."""
-    env = Environment()
-    fabric = Fabric(env, num_nodes=6, link_bandwidth=100.0, latency=0.0)
-    assert fabric.reuse_cutoff > 12
-
-    def xfer(src, dst, size):
-        yield fabric.transfer(src, dst, size)
-
-    for index in range(12):
-        env.process(xfer(index % 6, (index + 1) % 6, 1e3 * (index + 1)))
-    env.run()
-    assert fabric.stats.reuse_hits == 0
-    assert fabric.stats.reuse_fallbacks == 0
-    assert fabric._reuse is None
-
-
-def test_switch_component_never_builds_a_record():
-    """The reuse proof assumes per-NIC bottlenecks only; a fabric with
-    an aggregate switch must never install the record."""
-    env = Environment()
-    fabric = Fabric(
-        env,
-        num_nodes=6,
-        link_bandwidth=100.0,
-        latency=0.0,
-        switch_bandwidth=250.0,
-    )
-    fabric.reuse_cutoff = 1
-
-    def xfer(src, dst, size):
-        yield fabric.transfer(src, dst, size)
-
-    for index in range(10):
-        env.process(xfer(index % 6, (index + 2) % 6, 500.0 * (index + 1)))
-    env.run()
-    assert fabric._reuse is None
-    assert fabric.stats.reuse_hits == 0
