@@ -470,8 +470,7 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
             f"{record.wall_seconds_median:.4f}",
             f"{record.wall_seconds_iqr:.4f}",
             f"{record.sim_seconds_per_wall_second:.1f}",
-            f"{record.events_per_second:.0f}"
-            + ("*" if record.events_elided else ""),
+            f"{record.events_per_second:.0f}",
             f"{record.peak_rss_kb / 1024.0:.1f}",
         ]
         for record in run.records
@@ -483,14 +482,6 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
         title=f"Benchmark run {run.label!r} "
         f"({args.repeats} repeats, {args.warmup} warmup)",
     )
-    elided = [r for r in run.records if r.events_elided]
-    if elided:
-        # Keep sim-s-per-wall-s honest: part of the counted events were
-        # drained analytically, never dispatched.
-        detail = ", ".join(
-            f"{record.name}={record.events_elided}" for record in elided
-        )
-        text += f"\n* events fast-forwarded (scheduled, not dispatched): {detail}"
 
     # Resolve the baseline before --out appends, so that comparing and
     # appending to the same store measures against the previous run.

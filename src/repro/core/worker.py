@@ -135,6 +135,8 @@ class Worker:
     def _run_elastic(
         self, runtime: "_RuntimeProtocol", first_iteration: int
     ):
+        if self.crashed:  # crashed before this process first ran
+            return
         try:
             yield from self._elastic_iterations(runtime, first_iteration)
         except Interrupt as interrupt:

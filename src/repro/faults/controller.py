@@ -212,7 +212,11 @@ class FaultController:
             return
         self._crashed[wid] = self.runtime.cluster.env.now
         process = self.runtime._worker_procs.get(wid)
-        if process is not None and process.is_alive:
+        if process is None:
+            # A t=0 script entry lands before the runtime spawns its
+            # workers; the flag makes the process exit on its first step.
+            self._worker(wid).crashed = True
+        elif process.is_alive:
             process.interrupt(WorkerCrash(wid))
 
     def _do_leave(self, wid: int) -> None:

@@ -153,10 +153,9 @@ class Fabric:
         self._fid = itertools.count()
         self._last_settle = env.now
         #: Timeout armed for the next flow completion.  Cancellation is
-        #: a callback removal — the orphaned timeout stays on the heap as
-        #: a dead event for the run loop's fast-forward to elide — so a
-        #: reallocation storm costs one Timeout each, not a full
-        #: process interrupt/respawn cycle.
+        #: a callback removal — the orphaned timeout stays on the heap
+        #: and later costs one empty pop — so a reallocation storm costs
+        #: one Timeout each, not a full process interrupt/respawn cycle.
         self._waker: _t.Any = None
         self._wake_cb = self._on_wake  # one bound method for the lifetime
         #: Delay to the next completion as of the last arming (``inf``
@@ -632,9 +631,8 @@ class Fabric:
         The timer is a bare :class:`Timeout` with :meth:`_on_wake` as its
         only callback — no process, no generator.  Rearming cancels the
         previous timer by *removing the callback*: the old timeout stays
-        scheduled but dead, which costs nothing at dispatch and is
-        exactly the shape the run loop's analytical fast-forward elides
-        when it sits at the head of a steady interval.
+        scheduled but dead and costs one empty pop when it surfaces, not
+        a process interrupt.
         """
         waker = self._waker
         if waker is not None:

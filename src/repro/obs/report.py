@@ -236,19 +236,6 @@ def render_run_report(
                 f"({fraction:.1%})"
             )
 
-    # -- analytical fast-forward --------------------------------------------
-    fast_forward = result.stats.get("fast_forward")
-    if fast_forward is not None and fast_forward["events_elided"]:
-        lines.append("")
-        lines.append("-- Analytical fast-forward --")
-        lines.append(
-            f"  {fast_forward['events_elided']} dead events elided "
-            f"across {fast_forward['intervals_skipped']} steady "
-            f"intervals "
-            f"({fast_forward['sim_seconds_fast_forwarded']:.3f} sim "
-            "seconds crossed analytically)"
-        )
-
     # -- faults -------------------------------------------------------------
     faults = result.stats.get("faults")
     if faults is not None:

@@ -190,15 +190,7 @@ class Sampler(NullSampler):
             self._tick(now)
             boundary += interval
         self._next = boundary
-        # The sampler only acts at tick boundaries, so it declares
-        # ``_next`` as its observation horizon: the run loop may
-        # fast-forward dead events strictly before the next tick without
-        # changing a single sample.
-        env.attach_monitor(self._on_step, next_due=self._next_due)
-
-    def _next_due(self) -> float:
-        """Observation horizon for the run loop's fast-forward gate."""
-        return self._next
+        env.attach_monitor(self._on_step)
 
     def _on_step(self, now: float, _event: _t.Any) -> None:
         while now >= self._next:

@@ -45,10 +45,6 @@ class ScenarioStats:
     simulated_seconds: float
     #: Events scheduled on the simulation environment(s) of the run.
     events: int
-    #: Events the analytical fast-forward drained without dispatching
-    #: (a subset of ``events``; deterministic, so the repetition check
-    #: covers it too).
-    events_elided: int = 0
 
 
 @dataclasses.dataclass
@@ -228,7 +224,6 @@ def _fela_macro_builder(
             return ScenarioStats(
                 simulated_seconds=result.total_time,
                 events=cluster.env.scheduled_events,
-                events_elided=cluster.env.ff_elided,
             )
 
         return run_once
@@ -317,7 +312,6 @@ def _fela_1000workers(ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=result.total_time,
             events=cluster.env.scheduled_events,
-            events_elided=cluster.env.ff_elided,
         )
 
     return run_once
@@ -502,7 +496,6 @@ def _sim_event_churn(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -533,7 +526,6 @@ def _fabric_transfer(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -568,7 +560,6 @@ def _fabric_sparse_flows(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -612,47 +603,6 @@ def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.steady_fastforward",
-    MICRO,
-    "watchdog-style any_of waits leave dead long-stop timeouts in the "
-    "future heap; draining them is the analytical fast-forward's "
-    "steady-interval path",
-)
-def _steady_fastforward(_ctx: ScenarioContext) -> RunOnce:
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-
-        def watchdog(short: float, count: int):
-            # The guard timeout (the watchdog) almost never fires: the
-            # short event wins every race, and the loser stays queued
-            # far in the future with nothing left to do when it
-            # surfaces.  Exactly the "provably steady interval" shape.
-            for _ in range(count):
-                yield env.any_of([env.timeout(short), env.timeout(1000.0)])
-
-        def ticker(period: float, count: int):
-            # Live wakeups beyond t=1000 interleave with the dead
-            # watchdog guards, splitting the drain into many intervals.
-            for _ in range(count):
-                yield env.timeout(period)
-
-        for lane in range(3):
-            env.process(watchdog(0.001 * (lane + 1), 12000))
-        env.process(ticker(4.0, 280))
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -707,7 +657,6 @@ def _token_lifecycle(ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -736,7 +685,6 @@ def _ring_allreduce(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -814,7 +762,6 @@ def _object_churn(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once

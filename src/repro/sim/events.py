@@ -359,9 +359,9 @@ class Condition(Event):
             return
         # The condition just fired (or failed): unsubscribe from the
         # sub-events still in flight.  A leftover ``any_of`` timeout with
-        # this callback removed carries no work at all, which is what lets
-        # the run loop's analytical fast-forward elide it instead of
-        # dispatching an empty pop far in the future.
+        # this callback removed carries no work at all: when it surfaces
+        # it costs one empty pop, with no call back into a condition that
+        # has already fired.
         check = self._check
         for leftover in self._events:
             callbacks = leftover.callbacks

@@ -110,6 +110,15 @@ class TestCrashRecovery:
         states = summary["final_states"]
         assert states[1] == "failed" and states[6] == "failed"
 
+    def test_crash_at_time_zero_stops_the_worker(self, vgg19_partition):
+        # A t=0 crash lands before the runtime spawns its workers; the
+        # worker must never train, or its tokens are trained twice.
+        result = run_faulted(vgg19_partition, "crash:0@0.0")
+        assert len(result.records) == ITERATIONS
+        [failure] = result.stats["faults"]["failures"]
+        assert failure["wid"] == 0 and failure["crash_time"] == 0.0
+        assert all(record.work_by_worker[0] == 0 for record in result.records)
+
     def test_probabilistic_crashes_deterministic(self, vgg19_partition):
         results = [
             run_faulted(vgg19_partition, "crashp:0.08:3", iterations=4)

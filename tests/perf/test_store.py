@@ -5,7 +5,9 @@ real regression must be classified as one, and noise inside the
 threshold must not.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,9 @@ from repro.perf import (
     append_run,
     compare_runs,
     load_store,
+    run_for_label,
     save_store,
+    scenario_names,
 )
 
 
@@ -108,6 +112,35 @@ class TestStoreFormat:
         assert len(runs) >= 2
         names = {rec.name for rec in runs[-1].records}
         assert "macro.vgg19_fela" in names
+        # Older runs carry keys of since-deleted fields; from_dict reads
+        # named keys, so loading them drops the extras.
+        raw = json.loads(Path("BENCH_core.json").read_text())
+        fields = {field.name for field in dataclasses.fields(ScenarioRecord)}
+        assert any(
+            set(payload) - fields
+            for stored in raw["runs"]
+            for payload in stored["results"]
+        )
+
+    def test_ci_baseline_resolves_after_scenario_retirement(self):
+        # The CI gate pins this run.  It still carries the record of one
+        # since-deleted scenario, which a comparison over the registered
+        # scenarios never reaches.
+        baseline = run_for_label(
+            load_store("BENCH_core.json"), "isolated-admission"
+        )
+        registered = set(scenario_names())
+        current = run(
+            "ci",
+            {
+                rec.name: rec.wall_seconds_median
+                for rec in baseline.records
+                if rec.name in registered
+            },
+        )
+        comparison = compare_runs(current, baseline)
+        assert len(comparison.rows) == len(baseline.records) - 1
+        assert {row.status for row in comparison.rows} == {"ok"}
 
 
 class TestComparator:

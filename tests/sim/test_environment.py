@@ -61,6 +61,19 @@ class TestRun:
         env.run()
         assert env.now == 105
 
+    def test_unwaited_failed_event_raises_from_run(self):
+        """A failed event nobody waits on or defuses raises from run."""
+        env = Environment()
+
+        def failer():
+            yield env.timeout(1.0)
+            event = env.event()
+            event.fail(RuntimeError("boom"))
+
+        env.process(failer())
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+
 
 class TestStep:
     def test_step_on_empty_queue(self):

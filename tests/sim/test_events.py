@@ -188,3 +188,14 @@ class TestConditions:
         env1, env2 = Environment(), Environment()
         with pytest.raises(SimulationError):
             AllOf(env1, [env1.event(), env2.event()])
+
+    def test_condition_unsubscribes_leftover_sub_events(self):
+        """Once an any_of fires, the losing timeout carries no callbacks."""
+        env = Environment()
+        short = env.timeout(1.0)
+        long = env.timeout(100.0)
+        env.any_of([short, long])
+        assert len(long.callbacks) == 1
+        env.run(until=2.0)
+        # The condition fired at t=1 and withdrew from the long timeout.
+        assert long.callbacks == []
