@@ -19,7 +19,10 @@ The implementation is event-driven: whenever the set of active flows
 changes, the fabric *settles* the bytes transferred since the previous
 change at the previous rates, recomputes the fair-share allocation by
 water-filling, and schedules a wake-up at the earliest projected flow
-completion.
+completion.  Throughout, every flow's rate equals what a fresh full
+waterfill of the current table would assign; a change that provably
+leaves those rates alone (a flow alone on both its NICs arriving or
+leaving) skips the waterfill.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ _RATE_EPS = 1e-9
 
 #: Remaining byte counts below this are considered complete.
 _BYTES_EPS = 1e-6
+
+_INF = float("inf")
 
 
 @dataclasses.dataclass(slots=True)
@@ -68,7 +73,8 @@ class FabricStats:
     flows_completed: int = 0
     bytes_transferred: float = 0.0
     #: Waterfills over the whole flow table / over one dirty component.
-    #: An isolated flow admitted without a solve counts in neither.
+    #: An admission or completion of isolated flows, which needs no
+    #: solve, counts in neither.
     solves_full: int = 0
     solves_restricted: int = 0
 
@@ -134,6 +140,13 @@ class Fabric:
         #: restricted solve rebuilds it from the flow table and clears
         #: this flag; from then on add/remove keep it current.
         self._index_stale: bool = True
+        #: Active-flow count per tx NIC / rx NIC, indexed by node and
+        #: kept current on every add and remove.  A flow whose two
+        #: counts are 1 is *isolated*: it shares no capacity with any
+        #: other flow (absent a switch), so it is rated ``link_bandwidth
+        #: / 1`` and its arrival or departure changes no other rate.
+        self._tx_load: list[int] = [0] * num_nodes
+        self._rx_load: list[int] = [0] * num_nodes
         #: Flow-table size at or below which a reallocation skips the
         #: dirty-component discovery and runs the full progressive fill
         #: directly.  For small tables the full solve is cheaper than the
@@ -223,33 +236,33 @@ class Fabric:
         self, requests: _t.Iterable[tuple[int, int, float]]
     ) -> list[Event]:
         """The one admission path behind :meth:`transfer` and
-        :meth:`transfer_many`: validate, build the flows, admit them."""
-        events: list[Event] = []
+        :meth:`transfer_many`: validate the whole batch, then build the
+        flows and admit them.  A rejected batch mints no event."""
+        if not isinstance(requests, (list, tuple)):
+            requests = list(requests)
+        num_nodes = self.num_nodes
+        for src, dst, size in requests:
+            if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+                self._check_node(src)
+                self._check_node(dst)
+            if not 0 <= size < _INF:
+                raise SimulationError(
+                    f"transfer size must be finite and >= 0: {size}"
+                )
         env = self.env
+        now = env.now
+        make_event = env.event
+        fids = self._fid
+        events: list[Event] = []
         new: list[Flow] = []
         for src, dst, size in requests:
-            self._check_node(src)
-            self._check_node(dst)
-            if size < 0:
-                raise SimulationError(
-                    f"transfer size must be >= 0: {size}"
-                )
-            done = env.event()
+            done = make_event()
             events.append(done)
             if src == dst or size == 0:
                 done.succeed(0.0)
                 continue
-            new.append(
-                Flow(
-                    fid=next(self._fid),
-                    src=src,
-                    dst=dst,
-                    size=float(size),
-                    remaining=float(size),
-                    started_at=env.now,
-                    done=done,
-                )
-            )
+            size = float(size)
+            new.append(Flow(next(fids), src, dst, size, size, 0.0, now, done))
         if new:
             self._admit(new)
         return events
@@ -257,13 +270,12 @@ class Fabric:
     def _admit(self, new: list[Flow]) -> None:
         """Settle, add a batch of flows landing at one instant, re-rate.
 
-        In the restricted regime (no aggregate switch, flow table above
-        ``incremental_cutoff``) a new flow whose tx and rx index groups
-        hold only itself is *isolated*: a one-flow component, which the
-        waterfill rates at ``link_bandwidth / 1``.  It gets exactly that
-        rate with no discovery and no solve; only the other new flows'
-        NICs go to :meth:`_dirty_component`.  Per-component solves equal
-        the full solve bit for bit, so the allocation is unchanged.
+        A new flow whose tx and rx NICs carry only itself is *isolated*:
+        the waterfill would rate it ``link_bandwidth / 1`` and leave
+        every other rate alone, so it gets exactly that rate here and
+        dirties nothing.  Only the other new flows' NICs go to
+        :meth:`_rerate` (which re-solves everything when an aggregate
+        switch couples the flows).
 
         When the whole batch is isolated no existing rate changes, so
         the settle pass (which walks the table anyway) also yields the
@@ -273,43 +285,32 @@ class Fabric:
         """
         self.stats.flows_started += len(new)
         flows = self._flows
-        restricted = (
-            self.switch_bandwidth is None
-            and len(flows) + len(new) > self.incremental_cutoff
-        )
-        if restricted and self._index_stale:
-            self._rebuild_index()
-        if not self._index_stale:
-            for flow in new:
-                self._index_flow(flow)
+        tx_load = self._tx_load
+        rx_load = self._rx_load
+        indexed = not self._index_stale
         next_dt = self._settle()
         for flow in new:
             flows[flow.fid] = flow
-        if not restricted:
-            self._waterfill()
-            self._schedule_wakeup()
-            return
-        by_resource = self._by_resource
+            tx_load[flow.src] += 1
+            rx_load[flow.dst] += 1
+            if indexed:
+                self._index_flow(flow)
         num_nodes = self.num_nodes
         bandwidth = self.link_bandwidth
         dirty: list[int] = []
         for flow in new:
-            tx = flow.src
-            rx = num_nodes + flow.dst
-            if len(by_resource[tx]) == 1 and len(by_resource[rx]) == 1:
+            src = flow.src
+            dst = flow.dst
+            if tx_load[src] == 1 and rx_load[dst] == 1:
                 flow.rate = bandwidth
                 if bandwidth > _RATE_EPS:
                     dt = flow.remaining / bandwidth
                     if dt < next_dt:
                         next_dt = dt
             else:
-                dirty.append(tx)
-                dirty.append(rx)
-        if dirty:
-            self._waterfill(self._dirty_component(dirty))
-            self._schedule_wakeup()
-        else:
-            self._schedule_wakeup(next_dt)
+                dirty.append(src)
+                dirty.append(num_nodes + dst)
+        self._rerate(dirty, next_dt)
 
     def _settle(self) -> float:
         """Account bytes moved at the current rates since the last change.
@@ -343,16 +344,18 @@ class Fabric:
                     next_dt = dt
         return next_dt
 
-    def _settle_and_find_due(self) -> list[Flow] | None:
+    def _settle_and_find_due(self) -> tuple[list[Flow], float] | None:
         """One pass: account bytes *and* collect completion candidates.
 
         Same arithmetic as :meth:`_settle`, with the wake-up's completion
         predicate evaluated on each flow in the same iteration — the flow
         table is walked once instead of twice per completion event.
-        Returns ``None`` when no time has passed since the last settle:
-        nothing moved in this call, but an *earlier* settle at the same
-        instant may already have driven flows to zero, so the caller must
-        fall back to the full scan.
+        Returns the due flows and the minimum ``remaining / rate`` over
+        the flows that survive them (the rescan's delay, while no rate
+        changes).  Returns ``None`` when no time has passed since the
+        last settle: nothing moved in this call, but an *earlier* settle
+        at the same instant may already have driven flows to zero, so
+        the caller must fall back to the full scan.
         """
         now = self.env.now
         elapsed = now - self._last_settle
@@ -361,19 +364,25 @@ class Fabric:
         self._last_settle = now
         stats = self.stats
         due: list[Flow] = []
+        next_dt = _INF
         for flow in self._flows.values():
+            rate = flow.rate
             remaining = flow.remaining
-            moved = flow.rate * elapsed
+            moved = rate * elapsed
             if moved > remaining:
                 moved = remaining
             remaining -= moved
             flow.remaining = remaining
             stats.bytes_transferred += moved
-            if remaining <= _BYTES_EPS or (
-                flow.rate > _RATE_EPS and remaining / flow.rate < 1e-9
-            ):
+            if remaining <= _BYTES_EPS:
                 due.append(flow)
-        return due
+            elif rate > _RATE_EPS:
+                dt = remaining / rate
+                if dt < 1e-9:
+                    due.append(flow)
+                elif dt < next_dt:
+                    next_dt = dt
+        return due, next_dt
 
     def _index_flow(self, flow: Flow) -> None:
         by_resource = self._by_resource
@@ -393,22 +402,26 @@ class Fabric:
                 if not group:
                     del by_resource[key]
 
-    def _reallocate(self, dirty: _t.Iterable[int]) -> None:
-        """Recompute max-min fair rates and reschedule the wake-up.
+    def _rerate(self, dirty: list[int], next_dt: float | None) -> None:
+        """Bring the rates up to date after flows were added or removed,
+        then re-arm the wake-up.
 
-        ``dirty`` names the NIC resources touched by the flow removals
-        that triggered the call.  When no aggregate switch couples every
-        flow to every other, and the flow table is large enough for the
-        discovery to pay for itself (see ``incremental_cutoff``), only
-        the connected component of flows reachable from those resources
-        is re-solved; flows in untouched components keep their rates,
+        ``dirty`` names the NIC resources whose flow set changed and that
+        still carry flows.  With nothing dirty and no aggregate switch
+        every rate is already current, and the waker is armed at
+        ``next_dt``, the delay the caller already knows (``None``
+        rescans).  Otherwise a switch (one capacity couples every flow)
+        or a small table gets the full solve; a larger table re-solves
+        only the connected component of flows reachable from the dirty
+        resources — flows in untouched components keep their rates,
         which the full progressive fill would reproduce bit-for-bit
         anyway because disjoint components never share a capacity term.
         """
-        if (
-            self.switch_bandwidth is not None
-            or len(self._flows) <= self.incremental_cutoff
-        ):
+        switch = self.switch_bandwidth is not None
+        if not dirty and not switch:
+            self._schedule_wakeup(next_dt)
+            return
+        if switch or len(self._flows) <= self.incremental_cutoff:
             self._waterfill()
         else:
             if self._index_stale:
@@ -429,15 +442,12 @@ class Fabric:
     ) -> list[Flow] | None:
         """Flows (ascending fid) connected to the dirty resources.
 
-        Returns ``None`` to request a full solve: with an aggregate
-        switch every flow shares one capacity (the dirty set always
-        spans it), and once the component covers more than half the
-        active flows the restricted solve can no longer win — the
-        traversal bails out rather than finish discovering a component
-        it will not use.
+        Returns ``None`` to request a full solve: once the component
+        covers more than half the active flows the restricted solve can
+        no longer win — the traversal bails out rather than finish
+        discovering a component it will not use.  (Never called with an
+        aggregate switch, which couples every flow.)
         """
-        if self.switch_bandwidth is not None:
-            return None
         by_resource = self._by_resource
         num_nodes = self.num_nodes
         bail = len(self._flows) // 2
@@ -668,8 +678,10 @@ class Fabric:
     def _on_wake(self, _event: Event) -> None:
         """Timer callback: settle and complete any finished flows."""
         self._waker = None
-        finished = self._settle_and_find_due()
-        if finished is None:
+        flows = self._flows
+        found = self._settle_and_find_due()
+        next_dt: float | None = None
+        if found is None:
             # Zero elapsed time: the bytes were already accounted by an
             # earlier settle at this instant, so scan the table for the
             # completions that settle may have produced.
@@ -682,10 +694,13 @@ class Fabric:
                     and flow.remaining / flow.rate < 1e-9
                 )
             ]
-        if not finished and self._flows:
+        else:
+            finished, next_dt = found
+        if not finished and flows:
             # Floating-point dust: we woke for a completion but rounding
             # left a hair of the payload.  Force-complete the flow that was
             # due, or the wake-up loop would spin on ~zero time steps.
+            next_dt = None
             due = min(
                 (f for f in self._flows.values() if f.rate > _RATE_EPS),
                 key=lambda f: f.remaining / f.rate,
@@ -693,16 +708,20 @@ class Fabric:
             )
             if due is not None:
                 finished = [due]
-        tracer = self.env.tracer
-        dirty: list[int] = []
+        env = self.env
+        now = env.now
+        latency = self.latency
+        tracer = env.tracer
+        tx_load = self._tx_load
+        rx_load = self._rx_load
         for flow in finished:
-            del self._flows[flow.fid]
+            del flows[flow.fid]
             if not self._index_stale:
                 self._unindex_flow(flow)
-            dirty.append(flow.src)
-            dirty.append(self.num_nodes + flow.dst)
+            tx_load[flow.src] -= 1
+            rx_load[flow.dst] -= 1
             self.stats.flows_completed += 1
-            duration = self.env.now - flow.started_at + self.latency
+            duration = now - flow.started_at + latency
             if tracer.enabled:
                 # The span covers wire time up to last-byte arrival; the
                 # tracer only records, so tracing never perturbs the sim.
@@ -711,12 +730,22 @@ class Fabric:
                     flow.dst,
                     flow.size,
                     flow.started_at,
-                    self.env.now + self.latency,
+                    now + latency,
                 )
             assert flow.done is not None
             # The last byte arrives ``latency`` seconds after it was put on
             # the wire; trigger the completion event with that delay.
             flow.done._ok = True
             flow.done._value = duration
-            self.env.schedule(flow.done, delay=self.latency)
-        self._reallocate(dirty)
+            env.schedule(flow.done, delay=latency)
+        # A NIC that lost a flow is dirty only if it still carries
+        # others: a flow that was alone on both its NICs leaves every
+        # surviving rate as it was.
+        num_nodes = self.num_nodes
+        dirty: list[int] = []
+        for flow in finished:
+            if tx_load[flow.src]:
+                dirty.append(flow.src)
+            if rx_load[flow.dst]:
+                dirty.append(num_nodes + flow.dst)
+        self._rerate(dirty, next_dt)

@@ -62,6 +62,36 @@ class TestBasics:
         with pytest.raises(SimulationError):
             fabric.transfer(0, 1, -5)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected(self, size):
+        """A NaN or infinite size is a clear error at the call, not a
+        stalled fabric later."""
+        env = Environment()
+        fabric = Fabric(env, num_nodes=3, link_bandwidth=100.0)
+        with pytest.raises(SimulationError, match="finite"):
+            fabric.transfer(2, 1, size)
+        assert fabric.active_flows == []
+        assert env.scheduled_events == 0
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [(1, 1, 5.0), (0, 9, 1.0)],
+            [(0, 1, 5.0), (1, 0, float("nan"))],
+        ],
+        ids=["bad-node", "bad-size"],
+    )
+    def test_rejected_batch_mints_no_event(self, batch):
+        """The whole batch is validated before any event exists: an
+        earlier local completion must not be left queued."""
+        env = Environment()
+        fabric = Fabric(env, num_nodes=2, link_bandwidth=100.0)
+        with pytest.raises(SimulationError):
+            fabric.transfer_many(batch)
+        assert env.scheduled_events == 0
+        assert env.peek() == float("inf")
+        assert fabric.stats.flows_started == 0
+
 
 class TestSharing:
     def test_rx_contention_halves_rate(self):

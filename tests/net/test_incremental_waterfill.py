@@ -2,9 +2,11 @@
 
 The fabric re-solves only the connected component of resources touched by
 a flow add/remove.  These tests drive randomized transfer schedules
-through both the incremental fabric and a variant forced to always run
-the full solve, and require *bit-identical* completion times — the same
-guarantee the repository's determinism pins rely on.
+through both the incremental fabric and a variant that never runs a
+component solve, and require *bit-identical* completion times — the same
+guarantee the repository's determinism pins rely on.  Both run as
+:class:`CheckedFabric`, which also asserts at every timer arming that a
+fresh full waterfill reproduces every rate.
 """
 
 import random
@@ -16,10 +18,11 @@ from hypothesis import strategies as st
 from repro.net import Fabric
 from repro.net.fabric import Flow
 from repro.sim import Environment
+from tests.net.checked_fabric import CheckedFabric
 
 
-class FullSolveFabric(Fabric):
-    """A fabric that never takes the incremental path."""
+class FullSolveFabric(CheckedFabric):
+    """A checked fabric that never takes the component solve."""
 
     def _dirty_component(self, dirty):
         return None
@@ -50,6 +53,7 @@ def _run_schedule(fabric_cls, num_nodes, schedule, switch=None):
         env.process(xfer(index, src, dst, size, start))
     env.run()
     assert len(finished) == len(schedule)
+    assert fabric.checks > 0 or all(src == dst for src, dst, *_ in schedule)
     return sorted(finished), fabric.stats.bytes_transferred
 
 
@@ -68,7 +72,7 @@ schedule_strategy = st.lists(
 @given(schedule=schedule_strategy)
 @settings(max_examples=40, deadline=None)
 def test_incremental_matches_full_solve(schedule):
-    incremental, inc_bytes = _run_schedule(Fabric, 10, schedule)
+    incremental, inc_bytes = _run_schedule(CheckedFabric, 10, schedule)
     full, full_bytes = _run_schedule(FullSolveFabric, 10, schedule)
     assert incremental == full
     assert repr(inc_bytes) == repr(full_bytes)
@@ -79,7 +83,7 @@ def test_incremental_matches_full_solve(schedule):
 def test_switch_fabric_matches_full_solve(schedule):
     """With an aggregate switch every solve falls back to full — but the
     public behavior must still match the forced-full variant exactly."""
-    incremental, _ = _run_schedule(Fabric, 10, schedule, switch=350.0)
+    incremental, _ = _run_schedule(CheckedFabric, 10, schedule, switch=350.0)
     full, _ = _run_schedule(FullSolveFabric, 10, schedule, switch=350.0)
     assert incremental == full
 
@@ -98,15 +102,16 @@ def test_seeded_dense_and_sparse_mix():
     # Plus guaranteed-disjoint pairs to hit the restricted-solve path.
     for pair in range(6):
         schedule.append((2 * pair, 2 * pair + 1, 5e4, 0.5 * pair))
-    incremental, inc_bytes = _run_schedule(Fabric, 12, schedule)
+    incremental, inc_bytes = _run_schedule(CheckedFabric, 12, schedule)
     full, full_bytes = _run_schedule(FullSolveFabric, 12, schedule)
     assert incremental == full
     assert repr(inc_bytes) == repr(full_bytes)
 
 
-def test_disjoint_pairs_take_restricted_solve():
-    """Disjoint node pairs must actually exercise the incremental path
-    (a component strictly smaller than the flow table)."""
+def test_disjoint_contended_pairs_take_restricted_solve():
+    """Disjoint *contended* groups must actually exercise the incremental
+    path (a component strictly smaller than the flow table).  Isolated
+    flows would never reach the solver at all."""
     env = Environment()
     fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
     fabric.incremental_cutoff = 0
@@ -121,20 +126,24 @@ def test_disjoint_pairs_take_restricted_solve():
     fabric._dirty_component = spy.__get__(fabric)
 
     def xfer(src, dst):
-        yield fabric.transfer(src, dst, 1e4)
+        # Two flows on one NIC pair: a contended two-flow component.
+        yield env.all_of(fabric.transfer_many([(src, dst, 1e4)] * 2))
 
     def main():
-        # Four disjoint pairs started while earlier ones are in flight.
+        # Four disjoint groups started while earlier ones are in flight.
         for pair in range(4):
             env.process(xfer(2 * pair, 2 * pair + 1))
             yield env.timeout(1.0)
 
     env.process(main())
     env.run()
-    assert any(size >= 0 for size in taken), taken
+    assert fabric.stats.solves_restricted > 0
     # Later adds see several active disjoint components: the dirty
     # component must stay smaller than the whole flow table.
     assert any(0 <= size <= 2 for size in taken[1:]), taken
+    # Each group finishes as a whole and leaves its NICs empty: no
+    # completion needs a solve, so every discovery was an admission.
+    assert len(taken) == 4
 
 
 def test_small_tables_skip_component_discovery():

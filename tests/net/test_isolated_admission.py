@@ -1,25 +1,32 @@
 """Differential tests: isolated-flow admission and the fused wake-up.
 
-In the restricted regime the fabric admits a new flow whose tx and rx
-NICs carry nothing else at ``link_bandwidth`` without any solve, and
-when a whole batch is admitted that way it arms the completion timer
-from the settle pass instead of rescanning the flow table.  Both claim
-to leave the simulation bit-identical.  These tests run random batch
-schedules — isolated, shared and mixed batches, with equal sizes so
-completions land together — on the default fabric, on one that is
-always in the restricted regime, and on one forced to full solves, and
-require ``repr``-exact completion times and byte totals.
+In every regime without an aggregate switch the fabric admits a new flow
+whose tx and rx NICs carry nothing else at ``link_bandwidth`` without
+any solve, and when a whole batch is admitted that way it arms the
+completion timer from the settle pass instead of rescanning the flow
+table.  Both claim to leave the simulation bit-identical.  These tests
+run random batch schedules — isolated, shared and mixed batches, with
+equal sizes so completions land together — through
+:class:`CheckedFabric`, which asserts at every timer arming that a fresh
+full waterfill reproduces every rate and a rescan reproduces the delay.
+The default fabric, one always in the restricted regime and one that
+never runs a component solve must also agree on ``repr``-exact
+completion times and byte totals.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Fabric
 from repro.sim import Environment
+from tests.net.checked_fabric import CheckedFabric
 
 NUM_NODES = 40
+#: A cutoff no table reaches: every solve that runs is a full one (the
+#: isolated shortcuts still apply, and ``CheckedFabric`` checks them).
 FULL_SOLVES = 10**9
 
 
@@ -60,7 +67,7 @@ def _run(schedule, incremental_cutoff=None, switch=None):
     ``transfer``); returns repr'd per-flow completion times, the repr'd
     byte total and the fabric."""
     env = Environment()
-    fabric = Fabric(
+    fabric = CheckedFabric(
         env,
         num_nodes=NUM_NODES,
         link_bandwidth=100.0,
@@ -89,6 +96,7 @@ def _run(schedule, incremental_cutoff=None, switch=None):
         env.process(launch(index, start, requests))
     env.run()
     assert len(finished) == sum(len(r) for _, r in schedule)
+    assert fabric.checks > 0
     return sorted(finished), repr(fabric.stats.bytes_transferred), fabric
 
 
@@ -114,6 +122,16 @@ def test_batches_match_full_solve(batches, seed):
     assert _run(schedule, incremental_cutoff=0)[:2] == full
 
 
+@given(batches=batches_strategy, seed=st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_switch_batches_match_full_solve(batches, seed):
+    """An aggregate switch couples every flow: no shortcut may fire, and
+    the checked fabric must agree with itself across cutoffs."""
+    schedule = _schedule(seed, batches)
+    full = _run(schedule, incremental_cutoff=FULL_SOLVES, switch=900.0)[:2]
+    assert _run(schedule, incremental_cutoff=0, switch=900.0)[:2] == full
+
+
 def test_seeded_churn_matches_full_solve():
     """Heavier seeded mixes that keep the table above the default
     cutoff for long stretches."""
@@ -135,19 +153,24 @@ def test_seeded_churn_matches_full_solve():
 
 
 def test_isolated_batch_takes_no_solve():
-    """Disjoint pairs in the restricted regime get the full link rate
-    with no waterfill at all."""
-    env = Environment()
-    fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
-    fabric.incremental_cutoff = 0
-    fabric.transfer_many([(0, 1, 100.0), (2, 3, 300.0)])
-    fabric.transfer(4, 5, 200.0)
-    assert fabric.stats.solves_full == 0
-    assert fabric.stats.solves_restricted == 0
-    assert [flow.rate for flow in fabric.active_flows] == [100.0] * 3
-    env.run()
-    assert env.now == 3.0
-    assert fabric.stats.flows_completed == 3
+    """Disjoint pairs get the full link rate with no waterfill at all,
+    on a small table and in the restricted regime alike."""
+    for cutoff in (None, 0):
+        env = Environment()
+        fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
+        if cutoff is not None:
+            fabric.incremental_cutoff = cutoff
+        fabric.transfer_many([(0, 1, 100.0), (2, 3, 300.0)])
+        fabric.transfer(4, 5, 200.0)
+        assert fabric.stats.solves_full == 0
+        assert fabric.stats.solves_restricted == 0
+        assert [flow.rate for flow in fabric.active_flows] == [100.0] * 3
+        env.run()
+        assert env.now == 3.0
+        assert fabric.stats.flows_completed == 3
+        # Each completion left its NICs empty: no solve on the way out.
+        assert fabric.stats.solves_full == 0
+        assert fabric.stats.solves_restricted == 0
 
 
 def test_shared_flow_goes_to_the_solver():
@@ -165,14 +188,42 @@ def test_shared_flow_goes_to_the_solver():
     assert fabric.stats.solves_restricted == 2
 
 
-def test_small_tables_admit_by_full_solve():
-    """At or below the default cutoff every admission is a full solve,
-    isolated or not."""
+def test_small_tables_admit_contended_flows_by_full_solve():
+    """At or below the default cutoff a contended admission is a full
+    solve; its isolated batch-mates ride along in it."""
     env = Environment()
     fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
-    fabric.transfer_many([(0, 1, 100.0), (2, 3, 300.0)])
+    fabric.transfer_many([(0, 1, 100.0), (2, 1, 300.0), (4, 5, 100.0)])
     assert fabric.stats.solves_full == 1
     assert fabric.stats.solves_restricted == 0
+    rates = {(f.src, f.dst): f.rate for f in fabric.active_flows}
+    assert rates == {(0, 1): 50.0, (2, 1): 50.0, (4, 5): 100.0}
+    env.run()
+    # (4, 5) finishes at t=1 and leaves nothing to re-rate; (0, 1) at
+    # t=2 leaves node 1's rx NIC to (2, 1): one more full solve.
+    assert fabric.stats.solves_full == 2
+    assert env.now == 4.0
+
+
+def test_completion_that_leaves_a_nic_shared_resolves():
+    """A finishing flow dirties only the NICs it leaves still loaded;
+    the survivor there is re-rated up to the full link."""
+    env = Environment()
+    fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
+    first, second = fabric.transfer_many([(0, 1, 100.0), (0, 2, 300.0)])
+    finish: list[float] = []
+
+    def wait(event):
+        yield event
+        finish.append(env.now)
+
+    env.process(wait(first))
+    env.process(wait(second))
+    env.run()
+    # Both at 50 B/s until t=2, then (0, 2) alone at 100 B/s for the
+    # remaining 200 B.
+    assert finish == [2.0, 4.0]
+    assert fabric.stats.solves_full == 2
 
 
 def test_switch_fabric_never_admits_isolated():
@@ -217,3 +268,30 @@ def test_fused_wakeup_at_an_instant_already_settled():
     env.process(main())
     env.run()
     assert done == [("a", 1.5), ("c", 4.0), ("b", 6.0)]
+
+
+def test_sub_nanosecond_remainder_completes_with_its_batch():
+    """A flow left with less than a nanosecond of transfer completes in
+    the same wake as the flow it shared a NIC with.  The delay the
+    solve-free completion arms must come from the flows that survive
+    the wake only, or the isolated bystander is woken — and forced
+    complete — a nanosecond later."""
+    env = Environment()
+    fabric = CheckedFabric(env, num_nodes=6, link_bandwidth=1e9, latency=0.0)
+    done: dict[str, float] = {}
+
+    def wait(name, event):
+        yield event
+        done[name] = env.now
+
+    # a and b share node 1's rx NIC at 5e8 B/s; when a finishes, b has
+    # 0.4 B left: 8e-10 s, inside the completion tolerance.
+    events = fabric.transfer_many(
+        [(0, 1, 1e6), (2, 1, 1e6 + 0.4), (4, 5, 1e7)]
+    )
+    for name, event in zip("abc", events):
+        env.process(wait(name, event))
+    env.run()
+    assert done["a"] == done["b"] == 0.002
+    assert done["c"] == pytest.approx(0.01, rel=1e-12)
+    assert fabric.stats.flows_completed == 3

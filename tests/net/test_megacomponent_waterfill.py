@@ -5,7 +5,8 @@ The lazy-invalidation min-heap replacing the per-round linear scan in
 claims *bit-identical* rates.  Every test drives the same schedule
 through both variants — the cutoff is a host-side knob, so forcing
 either path is a one-line override — and requires ``repr``-exact
-completion times.
+completion times.  Both run as :class:`CheckedFabric`, so every arming
+also checks the rates against a fresh full waterfill.
 """
 
 import random
@@ -13,8 +14,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Fabric
 from repro.sim import Environment
+from tests.net.checked_fabric import CheckedFabric
 
 
 def _run_schedule(
@@ -25,7 +26,7 @@ def _run_schedule(
 ):
     """Run a transfer schedule; returns repr'd completion times."""
     env = Environment()
-    fabric = Fabric(
+    fabric = CheckedFabric(
         env,
         num_nodes=num_nodes,
         link_bandwidth=100.0,

@@ -7,6 +7,7 @@ threshold must not.
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,23 @@ class TestStoreFormat:
         comparison = compare_runs(current, baseline)
         assert len(comparison.rows) == len(baseline.records) - 1
         assert {row.status for row in comparison.rows} == {"ok"}
+
+    def test_ci_baseline_measures_every_smoke_scenario(self):
+        # The bench-smoke job's pinned run must hold a record for each
+        # scenario it measures, or those scenarios go ungated ("new").
+        ci = Path(".github/workflows/ci.yml").read_text()
+        step = re.search(
+            r"--scenarios (\S+)\s+--repeats.*?--label ci-smoke"
+            r".*?--baseline (\S+)",
+            ci,
+            re.S,
+        )
+        assert step is not None
+        scenarios, label = step.groups()
+        baseline = run_for_label(load_store("BENCH_core.json"), label)
+        for name in scenarios.split(","):
+            assert name in scenario_names()
+            assert baseline.record_for(name) is not None, name
 
 
 class TestComparator:
