@@ -17,14 +17,13 @@ Two complementary halves:
   AST-based lint pass (``python -m repro.analysis lint src``) with
   codebase-specific rules (FELA001..FELA005) and ``# repro: noqa-RULE``
   suppression;
-* :mod:`repro.analysis.invariants` — an opt-in runtime checker the
-  :class:`~repro.core.runtime.FelaRuntime` and
-  :class:`~repro.core.server.TokenServer` call into, raising a
-  structured :class:`~repro.errors.InvariantViolation` on the first
-  conservation or monotonicity breach.
+* :mod:`repro.analysis.invariants` — an opt-in runtime checker that
+  :class:`~repro.core.runtime.FelaRuntime` puts on the tracer stream,
+  raising a structured :class:`~repro.errors.InvariantViolation` on the
+  first conservation, sync-accounting or monotonicity breach.
 """
 
-from repro.analysis.invariants import GradientLedger, InvariantChecker
+from repro.analysis.invariants import InvariantChecker
 from repro.analysis.linter import (
     Violation,
     format_json,
@@ -36,7 +35,6 @@ from repro.analysis.linter import (
 from repro.analysis.rules import LintRule, all_rules, get_rule
 
 __all__ = [
-    "GradientLedger",
     "InvariantChecker",
     "LintRule",
     "Violation",

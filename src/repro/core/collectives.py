@@ -19,7 +19,6 @@ def ring_allreduce(
     cluster: Cluster,
     workers: _t.Sequence[int],
     size_bytes: float,
-    ledger: _t.Any | None = None,
     context: _t.Any = None,
 ):
     """Bandwidth-optimal ring all-reduce among ``workers``.
@@ -27,11 +26,7 @@ def ring_allreduce(
     Each participant sends and receives ``2 * (k-1)/k * size`` bytes in
     ``2 * (k-1)`` rounds of ``size / k`` chunks (reduce-scatter followed by
     all-gather).  A single participant (or an empty payload) is free.
-
-    With a :class:`~repro.analysis.invariants.GradientLedger` attached,
-    the collective opens a ledger entry before its first round and closes
-    it with the bytes actually put on the wire, so lost or duplicated
-    gradient chunks are caught by the invariant checker.
+    Returns the bytes put on the wire.
 
     With a tracer attached to the cluster's environment, the collective
     records one ``sync.allreduce`` span covering all its rounds (emitted
@@ -47,19 +42,12 @@ def ring_allreduce(
     tracer = env.tracer
     k = len(workers)
     if k == 1 or size_bytes <= 0:
-        if ledger is not None:
-            ledger.close(ledger.open(workers, size_bytes, context), 0.0)
         if tracer.enabled:
             tracer.allreduce(
                 workers, size_bytes, 0.0, env.now, env.now, context
             )
-        return
+        return 0.0
     chunk = size_bytes / k
-    handle = (
-        ledger.open(workers, size_bytes, context)
-        if ledger is not None
-        else None
-    )
     start = env.now
     wire_bytes = 0.0
     fabric = cluster.fabric
@@ -70,12 +58,11 @@ def ring_allreduce(
         transfers = fabric.transfer_many(ring)
         wire_bytes += chunk * k
         yield env.all_of(transfers)
-    if ledger is not None and handle is not None:
-        ledger.close(handle, wire_bytes)
     if tracer.enabled:
         tracer.allreduce(
             workers, size_bytes, wire_bytes, start, env.now, context
         )
+    return wire_bytes
 
 
 def tree_allreduce(
@@ -131,7 +118,8 @@ def hierarchical_allreduce(
     Phase 2: the group leaders (first member of each group) ring-all-reduce
     across groups.  Phase 3: leaders broadcast the result inside their
     group.  With bandwidth-sharing this beats one flat ring when groups
-    map to locality domains.
+    map to locality domains.  Returns the bytes put on the wire by all
+    three phases.
     """
     groups = [list(group) for group in groups if group]
     if not groups:
@@ -141,14 +129,15 @@ def hierarchical_allreduce(
         raise ConfigurationError(f"duplicate workers across groups: {groups}")
     env = cluster.env
 
-    def group_ring(group: _t.Sequence[int]):
-        yield from ring_allreduce(cluster, group, size_bytes)
-
-    phase1 = [env.process(group_ring(group)) for group in groups]
+    phase1 = [
+        env.process(ring_allreduce(cluster, group, size_bytes))
+        for group in groups
+    ]
     yield env.all_of(phase1)
+    wire_bytes = sum(ring.value for ring in phase1)
 
     leaders = [group[0] for group in groups]
-    yield from ring_allreduce(cluster, leaders, size_bytes)
+    wire_bytes += yield from ring_allreduce(cluster, leaders, size_bytes)
 
     phase3 = [
         env.process(broadcast(cluster, group[0], group[1:], size_bytes))
@@ -157,6 +146,7 @@ def hierarchical_allreduce(
     ]
     if phase3:
         yield env.all_of(phase3)
+    return wire_bytes + sum(copy.value for copy in phase3)
 
 
 def parameter_server_sync(
@@ -193,15 +183,17 @@ def broadcast(
     destinations: _t.Sequence[int],
     size_bytes: float,
 ):
-    """Send ``size_bytes`` from ``source`` to every destination in parallel."""
+    """Send ``size_bytes`` from ``source`` to every destination in
+    parallel; returns the bytes put on the wire."""
     env = cluster.env
     targets = [d for d in destinations if d != source]
     if not targets or size_bytes <= 0:
-        return
+        return 0.0
     transfers = cluster.fabric.transfer_many(
         (source, d, size_bytes) for d in targets
     )
     yield env.all_of(transfers)
+    return len(targets) * size_bytes
 
 
 def gather(

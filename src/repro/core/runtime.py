@@ -35,8 +35,9 @@ from repro.sim import Event
 from repro.stragglers import NoStraggler, StragglerInjector
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.analysis.invariants import InvariantChecker
     from repro.faults.controller import FaultController
-    from repro.obs.protocols import InvariantMonitor, SpanSink
+    from repro.obs.protocols import SpanSink
     from repro.sim import Process
 
 
@@ -51,7 +52,7 @@ class FelaRuntime:
         cluster: Cluster | None = None,
         straggler: StragglerInjector | None = None,
         recorder: "SpanSink | None" = None,
-        invariants: "InvariantMonitor | None" = None,
+        invariants: "InvariantChecker | None" = None,
         tracer: NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
         faults: "FaultController | None" = None,
@@ -63,8 +64,8 @@ class FelaRuntime:
         )
         self.straggler = straggler or NoStraggler()
         #: Optional :class:`~repro.analysis.invariants.InvariantChecker`
-        #: validating token conservation and sync accounting (off by
-        #: default; tests turn it on).
+        #: validating token conservation and sync accounting from the
+        #: tracer stream (off by default; tests turn it on).
         self.invariants = invariants
         #: Metrics registry shared with the token server; ``run()``
         #: derives ``RunResult.stats`` from it.
@@ -80,11 +81,15 @@ class FelaRuntime:
             tracer = Tracer() if recorder is not None else NULL_TRACER
         self.tracer = tracer
         env = self.cluster.env
-        env.tracer = self.tracer  # the one wiring point for all components
         self.tracer.attach_env(env)
-        self.server = TokenServer(
-            config, self.cluster, invariants=invariants, metrics=self.metrics
-        )
+        self.server = TokenServer(config, self.cluster, metrics=self.metrics)
+        # The one wiring point for all components: they emit through
+        # ``env.tracer``.  A checker sits in front of the recording
+        # tracer, checks each event and forwards it.
+        env.tracer = self.tracer
+        if invariants is not None:
+            invariants.bind(self.server, forward=self.tracer)
+            env.tracer = invariants
         self.workers = [
             Worker(self.server, self.cluster[wid], wid)
             for wid in range(config.num_workers)
@@ -146,7 +151,7 @@ class FelaRuntime:
         """
         env = self.cluster.env
         if self.invariants is not None:
-            self.invariants.on_run_end(self.server)
+            self.invariants.finish()
         total_time = env.now - started_at
         if self.sampler.enabled:
             self.sampler.finish(env.now)
@@ -345,50 +350,36 @@ class FelaRuntime:
         yield self.server.level_done_event(level, iteration)
         participants = self.server.participants(level, iteration)
         submodel = self.config.partition[level]
-        ledger = None
-        if self.invariants is not None:
-            self.invariants.on_sync_start(iteration, level, participants)
-            ledger = self.invariants.ledger
-        start = self.cluster.env.now
-        if (
-            self.config.collective == "hierarchical"
-            and ledger is None
-            and len(participants) > 3
-        ):
-            # √k-sized groups over the (sorted) participant list.  The
-            # gradient ledger only instruments the flat ring, so checked
-            # runs keep the ring path.
+        env = self.cluster.env
+        tracer = env.tracer
+        if tracer.enabled:
+            tracer.sync_started(iteration, level, participants)
+        start = env.now
+        if self.config.collective == "hierarchical" and len(participants) > 3:
+            # √k-sized groups over the (sorted) participant list.
             k = len(participants)
             group_size = max(2, int(k**0.5))
             groups = [
                 participants[i : i + group_size]
                 for i in range(0, k, group_size)
             ]
-            yield from hierarchical_allreduce(
+            wire = yield from hierarchical_allreduce(
                 self.cluster, groups, submodel.param_bytes
             )
         else:
-            yield from ring_allreduce(
+            wire = yield from ring_allreduce(
                 self.cluster,
                 participants,
                 submodel.param_bytes,
-                ledger=ledger,
                 context=(iteration, level),
             )
-        env = self.cluster.env
-        k = len(participants)
-        wire = (
-            2 * (k - 1) * submodel.param_bytes
-            if k > 1 and submodel.param_bytes > 0
-            else 0.0
-        )
         self.metrics.counter("sync.bytes", level=level).inc(wire)
         self.metrics.counter("sync.count", level=level).inc()
         self.metrics.histogram("sync.seconds", level=level).observe(
             env.now - start
         )
-        if self.tracer.enabled:
-            self.tracer.level_synced(iteration, level, participants, wire)
+        if tracer.enabled:
+            tracer.level_synced(iteration, level, participants, wire)
 
 
 class PipelinedFelaRuntime(FelaRuntime):

@@ -36,7 +36,6 @@ from repro.sim import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.faults.controller import FaultController
-    from repro.obs.protocols import InvariantMonitor
 
 
 class TokenServer:
@@ -46,7 +45,6 @@ class TokenServer:
         self,
         config: FelaConfig,
         cluster: Cluster,
-        invariants: "InvariantMonitor | None" = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if config.num_workers > cluster.num_nodes:
@@ -57,12 +55,6 @@ class TokenServer:
         self.config = config
         self.cluster = cluster
         self.env = cluster.env
-        #: Optional :class:`~repro.analysis.invariants.InvariantChecker`;
-        #: ``None`` (the default) costs nothing on the hot paths.
-        self.invariants = invariants
-        if invariants is not None:
-            invariants.bind(config)
-            invariants.attach_env(self.env)
         self.generator = TokenGenerator(config)
         self.bucket = TokenBucket(config.num_workers)
         self.distributor = TokenDistributor(config)
@@ -158,23 +150,16 @@ class TokenServer:
         tracer = self.env.tracer
         minted = self.generator.start_iteration(iteration)
         index = self._token_index.setdefault((iteration, 0), [])
-        if tracer.enabled or self.invariants is not None:
-            for token in minted:
-                index.append(token.tid)
-                if tracer.enabled:
-                    tracer.token_minted(token)
-                self.bucket.add(token)
-                if tracer.enabled:
-                    tracer.token_buffered(token)
-                if self.invariants is not None:
-                    self.invariants.on_minted(token)
-        else:
-            # Untraced, unchecked fast path: one bulk insert for the
-            # whole mint burst.
+        if not tracer.enabled:
+            # Untraced fast path: one bulk insert for the whole mint burst.
             index.extend(token.tid for token in minted)
             self.bucket.add_many(minted)
-        if self.invariants is not None:
-            self.invariants.verify_conservation(self)
+        else:
+            for token in minted:
+                index.append(token.tid)
+                tracer.token_minted(token)
+                self.bucket.add(token)
+                tracer.token_buffered(token)
         self._broadcast()
 
     def end_iteration(self, iteration: int | None = None) -> None:
@@ -187,8 +172,8 @@ class TokenServer:
             raise SchedulingError(
                 f"iteration {iteration} ended before all tokens completed"
             )
-        if self.invariants is not None:
-            self.invariants.on_iteration_end(iteration, self)
+        if self.env.tracer.enabled:
+            self.env.tracer.iteration_ended(iteration)
         del self._assigned[iteration]
         self.tokens_by_worker_per_iteration.pop(iteration, None)
         for level in range(self.config.levels):
@@ -257,9 +242,6 @@ class TokenServer:
                 self.info.record_assignment(token.tid, wid)
                 if tracer.enabled:
                     tracer.token_assigned(token, wid)
-                if self.invariants is not None:
-                    self.invariants.on_assigned(token, wid)
-                    self.invariants.verify_conservation(self)
                 self._assigned[token.iteration][token.level] += 1
                 self._tokens_assigned[wid].inc()
                 per_iteration = self.tokens_by_worker_per_iteration.get(
@@ -320,8 +302,6 @@ class TokenServer:
         self.info.record_completion(token.tid, wid)
         if tracer.enabled:
             tracer.token_reported(token, wid)
-        if self.invariants is not None:
-            self.invariants.on_completed(token, wid)
         for fresh in self.generator.on_completion(token.tid, wid):
             self._token_index.setdefault(
                 (fresh.iteration, fresh.level), []
@@ -331,10 +311,6 @@ class TokenServer:
             self.bucket.add(fresh)
             if tracer.enabled:
                 tracer.token_buffered(fresh)
-            if self.invariants is not None:
-                self.invariants.on_minted(fresh)
-        if self.invariants is not None:
-            self.invariants.verify_conservation(self)
         if self.generator.level_complete(token.iteration, token.level):
             done = self._level_done.get((token.iteration, token.level))
             if done is not None and not done.triggered:
@@ -402,8 +378,6 @@ class TokenServer:
             if tracer.enabled:
                 tracer.token_reclaimed(token, dead_wid)
                 tracer.token_buffered(token)
-            if self.invariants is not None:
-                self.invariants.on_reclaimed(token)
             summary["reclaimed"].append(tid)
 
         lost = sorted(
@@ -449,8 +423,6 @@ class TokenServer:
                     self._invalidate_buffered(consumer, summary)
             self._remint_lost(token, dead_wid, summary)
 
-        if self.invariants is not None:
-            self.invariants.verify_conservation(self)
         self._broadcast()
         return summary
 
@@ -483,8 +455,6 @@ class TokenServer:
         self.generator.invalidate_consumer(consumer.tid, survivors)
         if self.env.tracer.enabled:
             self.env.tracer.token_invalidated(consumer, assignee)
-        if self.invariants is not None:
-            self.invariants.on_invalidated(consumer, was_assigned=True)
         summary["revoked"].append(consumer.tid)
         summary["invalidated"].append(consumer.tid)
 
@@ -496,8 +466,6 @@ class TokenServer:
         self.generator.invalidate_consumer(consumer.tid, survivors)
         if self.env.tracer.enabled:
             self.env.tracer.token_invalidated(consumer, None)
-        if self.invariants is not None:
-            self.invariants.on_invalidated(consumer, was_assigned=False)
         summary["invalidated"].append(consumer.tid)
 
     def _remint_lost(
@@ -514,8 +482,6 @@ class TokenServer:
         if self.env.tracer.enabled:
             self.env.tracer.token_reminted(token, dead_wid)
             self.env.tracer.token_buffered(token)
-        if self.invariants is not None:
-            self.invariants.on_reminted(token)
         # The token object, not the tid: a later step of the same sweep
         # may invalidate this token (its own dependency also died),
         # deleting it from the registry.

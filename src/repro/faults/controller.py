@@ -377,9 +377,6 @@ class FaultController:
             self.membership.add_joining(wid)
             self.membership.activate(wid)
             self._deadlines[wid] = env.now + self.lease_timeout
-            invariants = runtime.server.invariants
-            if invariants is not None:
-                invariants.on_worker_joined(wid)
             if env.tracer.enabled:
                 env.tracer.worker_joined(wid, iteration=iteration)
             runtime._worker_procs[wid] = env.process(

@@ -20,8 +20,8 @@ package makes them *visible*:
   and the bridge feeding the ASCII timeline from the trace stream.
 * :mod:`repro.obs.report` — plain-text run report with critical-path and
   straggler-attribution analysis.
-* :mod:`repro.obs.protocols` — typed seams (``TracerLike``,
-  ``SpanSink``, ``InvariantMonitor``) for the runtime's attachments.
+* :mod:`repro.obs.protocols` — the ``SpanSink`` seam for the
+  runtime's timeline recorder.
 
 CLI entry points: ``repro trace <model>``, ``--trace-out`` on
 ``repro run``, and ``python -m repro.obs.validate`` for trace files.
@@ -40,9 +40,11 @@ from repro.obs.events import (
     EV_BUFFERED,
     EV_DELAY,
     EV_FETCH,
+    EV_ITERATION_END,
     EV_LEVEL_SYNCED,
     EV_MINTED,
     EV_REPORTED,
+    EV_SYNC_START,
     EV_TOKEN_INVALIDATED,
     EV_TOKEN_RECLAIMED,
     EV_TOKEN_REMINTED,
@@ -74,7 +76,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.protocols import InvariantMonitor, SpanSink, TracerLike
+from repro.obs.protocols import SpanSink
 from repro.obs.report import (
     critical_path,
     render_run_report,
@@ -107,9 +109,11 @@ __all__ = [
     "EV_BUFFERED",
     "EV_DELAY",
     "EV_FETCH",
+    "EV_ITERATION_END",
     "EV_LEVEL_SYNCED",
     "EV_MINTED",
     "EV_REPORTED",
+    "EV_SYNC_START",
     "EV_TOKEN_INVALIDATED",
     "EV_TOKEN_RECLAIMED",
     "EV_TOKEN_REMINTED",
@@ -121,7 +125,6 @@ __all__ = [
     "EV_WORKER_LEFT",
     "Gauge",
     "Histogram",
-    "InvariantMonitor",
     "MetricsRegistry",
     "NULL_SAMPLER",
     "NULL_TRACER",
@@ -137,7 +140,6 @@ __all__ = [
     "TS_TRACK",
     "TraceEvent",
     "Tracer",
-    "TracerLike",
     "chrome_trace",
     "complete_events",
     "critical_path",

@@ -59,6 +59,8 @@ EV_ASSIGNED = "token.assigned"
 EV_TRAINED = "token.trained"
 EV_REPORTED = "token.reported"
 EV_LEVEL_SYNCED = "sync.level"
+EV_SYNC_START = "sync.start"
+EV_ITERATION_END = "iteration.end"
 EV_ALLREDUCE = "sync.allreduce"
 EV_TRANSFER = "net.transfer"
 EV_DELAY = "straggler.delay"

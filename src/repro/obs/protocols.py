@@ -1,12 +1,10 @@
-"""Typed seams between the runtime and its observability attachments.
+"""The typed seam between the runtime and its timeline recorder.
 
-The runtime used to accept ``recorder: Any`` and ``invariants: Any``;
-these :class:`typing.Protocol` definitions give mypy (and readers) the
-actual contracts.  Anything structurally conforming can be plugged into
-:class:`~repro.core.runtime.FelaRuntime` — the shipped implementations
-are :class:`~repro.metrics.timeline.TimelineRecorder`,
-:class:`~repro.analysis.invariants.InvariantChecker`, and
-:class:`~repro.obs.tracer.Tracer`.
+:class:`~repro.core.runtime.FelaRuntime` accepts any structurally
+conforming ``recorder``; the shipped implementation is
+:class:`~repro.metrics.timeline.TimelineRecorder`.  Everything else the
+runtime reports goes through the tracer stream
+(:class:`~repro.obs.tracer.NullTracer` defines that API).
 """
 
 from __future__ import annotations
@@ -14,29 +12,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.obs.events import TraceEvent
-
-if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.config import FelaConfig
-    from repro.core.server import TokenServer
-    from repro.core.tokens import Token
-
-
-@_t.runtime_checkable
-class TracerLike(_t.Protocol):
-    """What instrumented components need from a tracer.
-
-    Structural subset of :class:`~repro.obs.tracer.NullTracer`; see that
-    class for per-method semantics.  Only the members every component
-    touches are required here — the domain helpers are invoked through
-    the concrete tracer the environment carries.
-    """
-
-    enabled: bool
-
-    def attach_env(self, env: _t.Any) -> None: ...
-
-    @property
-    def events(self) -> tuple[TraceEvent, ...]: ...
 
 
 @_t.runtime_checkable
@@ -58,49 +33,3 @@ class SpanSink(_t.Protocol):
     ) -> None: ...
 
     def ingest(self, events: _t.Sequence[TraceEvent]) -> None: ...
-
-
-class InvariantMonitor(_t.Protocol):
-    """The token-machinery hooks an invariant checker must provide.
-
-    Mirrors :class:`~repro.analysis.invariants.InvariantChecker`; the
-    runtime and Token Server call these at every lifecycle transition.
-    """
-
-    #: Gradient-collective accounting fed by ``ring_allreduce``.
-    ledger: _t.Any
-
-    def bind(self, config: "FelaConfig") -> None: ...
-
-    def attach_env(self, env: _t.Any) -> None: ...
-
-    def on_minted(self, token: "Token") -> None: ...
-
-    def on_assigned(self, token: "Token", wid: int) -> None: ...
-
-    def on_completed(self, token: "Token", wid: int) -> None: ...
-
-    def on_reclaimed(self, token: "Token") -> None: ...
-
-    def on_reminted(self, token: "Token") -> None: ...
-
-    def on_invalidated(
-        self, token: "Token", was_assigned: bool
-    ) -> None: ...
-
-    def on_worker_joined(self, wid: int) -> None: ...
-
-    def on_sync_start(
-        self,
-        iteration: int,
-        level: int,
-        participants: _t.Sequence[int],
-    ) -> None: ...
-
-    def on_iteration_end(
-        self, iteration: int, server: "TokenServer"
-    ) -> None: ...
-
-    def on_run_end(self, server: "TokenServer") -> None: ...
-
-    def verify_conservation(self, server: "TokenServer") -> None: ...

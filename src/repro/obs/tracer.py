@@ -17,7 +17,10 @@ Two implementations share one API:
 Components find the active tracer on the environment
 (``env.tracer``), which :class:`~repro.core.runtime.FelaRuntime` sets
 when one is supplied — the one wiring point for the whole token
-machinery, the collectives, and the network fabric.
+machinery, the collectives, and the network fabric.  The runtime's
+:class:`~repro.analysis.invariants.InvariantChecker` is a ``Tracer``
+too: it overrides the :meth:`Tracer._emit` funnel to check each event
+instead of storing it, then forwards it to the recording tracer.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from repro.obs.events import (
     EV_BUFFERED,
     EV_DELAY,
     EV_FETCH,
+    EV_ITERATION_END,
     EV_LEVEL_SYNCED,
     EV_MINTED,
     EV_REPORTED,
+    EV_SYNC_START,
     EV_TOKEN_INVALIDATED,
     EV_TOKEN_RECLAIMED,
     EV_TOKEN_REMINTED,
@@ -117,6 +122,14 @@ class NullTracer:
 
     def token_reported(self, token: "Token", wid: int) -> None:
         """The TS processed worker ``wid``'s completion report."""
+
+    def iteration_ended(self, iteration: int) -> None:
+        """The TS is about to drop ``iteration``'s bookkeeping."""
+
+    def sync_started(
+        self, iteration: int, level: int, participants: _t.Sequence[int]
+    ) -> None:
+        """A level's gradient synchronization is about to start."""
 
     def level_synced(
         self,
@@ -324,6 +337,20 @@ class Tracer(NullTracer):
         args = self._token_args(token)
         args["worker"] = wid
         self._emit(EV_REPORTED, CAT_TOKEN, self.now(), 0.0, wid, args)
+
+    def iteration_ended(self, iteration: int) -> None:
+        self.instant(EV_ITERATION_END, CAT_TS, iteration=iteration)
+
+    def sync_started(
+        self, iteration: int, level: int, participants: _t.Sequence[int]
+    ) -> None:
+        self.instant(
+            EV_SYNC_START,
+            CAT_SYNC,
+            iteration=iteration,
+            level=level,
+            participants=list(participants),
+        )
 
     def level_synced(
         self,

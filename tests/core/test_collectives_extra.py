@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core import (
+    FelaRuntime,
     hierarchical_allreduce,
     ring_allreduce,
     tree_allreduce,
 )
 from repro.errors import ConfigurationError
 from repro.hardware import Cluster, ClusterSpec, GpuSpec
+from repro.harness import ExperimentRunner, ExperimentSpec
 
 
 @pytest.fixture()
@@ -32,6 +34,13 @@ def run_collective(cluster, generator):
     cluster.env.process(proc())
     cluster.env.run()
     return done[0]
+
+
+def wire_bytes(cluster, generator):
+    """Run a collective; return the wire bytes it reports."""
+    process = cluster.env.process(generator)
+    cluster.env.run()
+    return process.value
 
 
 class TestTreeAllreduce:
@@ -114,3 +123,40 @@ class TestHierarchicalAllreduce:
         cluster = Cluster(cluster_spec)
         with pytest.raises(ConfigurationError):
             run_collective(cluster, hierarchical_allreduce(cluster, [], 1e9))
+
+    def test_returns_wire_bytes_of_all_three_phases(self, cluster_spec):
+        cluster = Cluster(cluster_spec)
+        size = 1e9
+        groups = [[0, 1, 2, 3], [4, 5, 6, 7]]
+        wire = wire_bytes(cluster, hierarchical_allreduce(cluster, groups, size))
+        # Two group rings of 2*3*size, a leader ring of 2*1*size, and a
+        # broadcast to three members in each group.
+        assert wire == pytest.approx((12 + 2 + 6) * size, rel=1e-12)
+        assert wire == pytest.approx(
+            cluster.fabric.stats.bytes_transferred, rel=1e-12
+        )
+
+
+class TestSyncBytes:
+    def test_ring_returns_closed_form(self, cluster_spec):
+        cluster = Cluster(cluster_spec)
+        wire = wire_bytes(cluster, ring_allreduce(cluster, range(8), 1e9))
+        assert wire == pytest.approx(2 * 7 * 1e9, rel=1e-12)
+
+    def test_hierarchical_sync_bytes_match_fabric_traffic(self):
+        """``sync.bytes`` counts the broadcast phase too: every byte the
+        fabric carried that was not an activation fetch."""
+        config = ExperimentRunner().fela_config(
+            ExperimentSpec(
+                model_name="vgg19",
+                total_batch=256,
+                num_workers=16,
+                iterations=1,
+            )
+        ).replace(collective="hierarchical")
+        result = FelaRuntime(config, Cluster(ClusterSpec(num_nodes=16))).run()
+        stats = result.stats
+        synced = sum(stats["sync_bytes_by_level"].values())
+        assert synced == pytest.approx(
+            stats["network_bytes"] - stats["bytes_fetched"], rel=1e-9
+        )

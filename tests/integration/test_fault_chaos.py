@@ -2,19 +2,21 @@
 
 Hypothesis draws one to three clauses from ``crash:W@T``, ``leave:W@T``
 and ``join@T`` — including near-coincident pairs like the
-``crash:5@6.017,crash:2@6.111`` double-revive reproducer — and crosses
-them with the ADS/HF/CTD switches and an optional probability
-straggler.  Faults produce the run loop's unusual events (failed,
-defused and interrupted), so every run has ``InvariantChecker`` on, must
-terminate with every iteration done, and must rerun to the same
-``repr(total_time)``.
+``crash:5@6.017,crash:2@6.111`` double-revive reproducer — or a
+``crashp:P:SEED`` clause with a few of those, and crosses them with the
+ADS/HF/CTD switches, an optional probability straggler, the BSP runtime
+or the pipelined one under SSP (staleness 1-2) and ASP, and the ring or
+hierarchical collective.  Faults produce the run loop's unusual events
+(failed, defused and interrupted), so every run has ``InvariantChecker``
+on, must terminate with every iteration done, and must rerun to the
+same ``repr(total_time)``.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.invariants import InvariantChecker
-from repro.core import FelaConfig, FelaRuntime
+from repro.core import FelaConfig, FelaRuntime, PipelinedFelaRuntime
 from repro.faults import FaultController, parse_faults
 from repro.hardware import Cluster, ClusterSpec
 from repro.models import get_model
@@ -50,6 +52,12 @@ def _near_pair(draw) -> list[str]:
     ]
 
 
+_crashp = st.builds(
+    "crashp:{}:{}".format,
+    st.sampled_from([0.02, 0.05, 0.1]),
+    st.integers(min_value=0, max_value=1000),
+)
+
 _scripts = st.one_of(
     st.lists(_clauses, min_size=1, max_size=3),
     st.builds(
@@ -57,7 +65,22 @@ _scripts = st.one_of(
         _near_pair(),
         st.lists(_clauses, max_size=1),
     ),
+    st.builds(
+        lambda crashp, extra: [crashp] + extra,
+        _crashp,
+        st.lists(_clauses, max_size=2),
+    ),
 ).map(",".join)
+
+#: (runtime, sync mode, SSP staleness).
+_schedules = st.sampled_from(
+    [
+        (FelaRuntime, "bsp", 0),
+        (PipelinedFelaRuntime, "ssp", 1),
+        (PipelinedFelaRuntime, "ssp", 2),
+        (PipelinedFelaRuntime, "asp", 0),
+    ]
+)
 
 _stragglers = st.one_of(
     st.none(),
@@ -69,7 +92,8 @@ _stragglers = st.one_of(
 )
 
 
-def _run(script, ads, hf, ctd, straggler):
+def _run(script, ads, hf, ctd, straggler, schedule, collective):
+    runtime, sync_mode, staleness = schedule
     config = FelaConfig(
         partition=_PARTITION,
         total_batch=256,
@@ -80,6 +104,9 @@ def _run(script, ads, hf, ctd, straggler):
         hf_enabled=hf,
         ctd_enabled=ctd,
         iterations=_ITERATIONS,
+        sync_mode=sync_mode,
+        staleness=staleness,
+        collective=collective,
     )
     cluster = Cluster(
         ClusterSpec(num_nodes=_WORKERS + script.count("join"))
@@ -88,7 +115,7 @@ def _run(script, ads, hf, ctd, straggler):
     if straggler is not None:
         probability, delay, seed = straggler
         injector = ProbabilityStraggler(probability, delay, seed=seed)
-    return FelaRuntime(
+    return runtime(
         config,
         cluster,
         straggler=injector,
@@ -103,6 +130,8 @@ def _run(script, ads, hf, ctd, straggler):
     hf=st.booleans(),
     ctd=st.booleans(),
     straggler=_stragglers,
+    schedule=_schedules,
+    collective=st.sampled_from(["ring", "hierarchical"]),
 )
 @example(
     script="crash:5@6.017,crash:2@6.111",
@@ -110,13 +139,33 @@ def _run(script, ads, hf, ctd, straggler):
     hf=True,
     ctd=True,
     straggler=None,
+    schedule=(FelaRuntime, "bsp", 0),
+    collective="ring",
 )
-@example(script="crash:0@0.0", ads=False, hf=False, ctd=False, straggler=None)
+@example(
+    script="crash:0@0.0",
+    ads=False,
+    hf=False,
+    ctd=False,
+    straggler=None,
+    schedule=(FelaRuntime, "bsp", 0),
+    collective="ring",
+)
+@example(
+    script="crashp:0.1:7,crash:3@5.0",
+    ads=True,
+    hf=True,
+    ctd=False,
+    straggler=None,
+    schedule=(PipelinedFelaRuntime, "ssp", 1),
+    collective="hierarchical",
+)
 @settings(max_examples=60, deadline=None)
 def test_fault_script_terminates_and_reruns_bit_identically(
-    script, ads, hf, ctd, straggler
+    script, ads, hf, ctd, straggler, schedule, collective
 ):
-    first = _run(script, ads, hf, ctd, straggler)
+    args = (script, ads, hf, ctd, straggler, schedule, collective)
+    first = _run(*args)
     assert first.iterations == _ITERATIONS
-    second = _run(script, ads, hf, ctd, straggler)
+    second = _run(*args)
     assert repr(second.total_time) == repr(first.total_time)
