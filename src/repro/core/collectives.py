@@ -55,9 +55,14 @@ def ring_allreduce(
         (workers[i], workers[(i + 1) % k], chunk) for i in range(k)
     ]
     for _round in range(2 * (k - 1)):
-        transfers = fabric.transfer_many(ring)
+        batch = fabric.transfer_many(ring)
         wire_bytes += chunk * k
-        yield env.all_of(transfers)
+        # Resume through a one-element ``all_of``, as at every
+        # ``transfer_many`` call site: the pinned results depend on the
+        # ``(time, priority, eid)`` slot the AllOf hop lands in.  Yielding
+        # ``batch`` directly would resume one hop earlier among
+        # same-instant events.
+        yield env.all_of((batch,))
     if tracer.enabled:
         tracer.allreduce(
             workers, size_bytes, wire_bytes, start, env.now, context
@@ -92,7 +97,7 @@ def tree_allreduce(
             for left in range(0, k - stride, stride * 2)
         ]
         if requests:
-            yield env.all_of(cluster.fabric.transfer_many(requests))
+            yield env.all_of((cluster.fabric.transfer_many(requests),))
         stride *= 2
 
     # Broadcast phase: parents send the reduced payload back down.
@@ -103,7 +108,7 @@ def tree_allreduce(
             for left in range(0, k - stride, stride * 2)
         ]
         if requests:
-            yield env.all_of(cluster.fabric.transfer_many(requests))
+            yield env.all_of((cluster.fabric.transfer_many(requests),))
         stride //= 2
 
 
@@ -170,11 +175,11 @@ def parameter_server_sync(
     pushes = cluster.fabric.transfer_many(
         (w, server, size_bytes) for w in senders
     )
-    yield env.all_of(pushes)
+    yield env.all_of((pushes,))
     pulls = cluster.fabric.transfer_many(
         (server, w, size_bytes) for w in senders
     )
-    yield env.all_of(pulls)
+    yield env.all_of((pulls,))
 
 
 def broadcast(
@@ -189,10 +194,10 @@ def broadcast(
     targets = [d for d in destinations if d != source]
     if not targets or size_bytes <= 0:
         return 0.0
-    transfers = cluster.fabric.transfer_many(
+    batch = cluster.fabric.transfer_many(
         (source, d, size_bytes) for d in targets
     )
-    yield env.all_of(transfers)
+    yield env.all_of((batch,))
     return len(targets) * size_bytes
 
 
@@ -207,7 +212,7 @@ def gather(
     senders = [s for s in sources if s != destination]
     if not senders or size_bytes_per_source <= 0:
         return
-    transfers = cluster.fabric.transfer_many(
+    batch = cluster.fabric.transfer_many(
         (s, destination, size_bytes_per_source) for s in senders
     )
-    yield env.all_of(transfers)
+    yield env.all_of((batch,))

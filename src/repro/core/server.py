@@ -553,5 +553,11 @@ class TokenServer:
         return self._bucket_changed
 
     def _broadcast(self) -> None:
-        event, self._bucket_changed = self._bucket_changed, self.env.event()
+        event = self._bucket_changed
+        if not event.callbacks:
+            # Nobody waits: every waiter yields the event as soon as it
+            # gets it, so firing it now would schedule an event no one
+            # sees.  It stays pending for the next waiter.
+            return
+        self._bucket_changed = self.env.event()
         event.succeed()

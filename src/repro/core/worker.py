@@ -293,8 +293,8 @@ class Worker:
             requests.append((holder, self.wid, size))
             pending.append((dep_tid, size))
         if requests:
-            transfers = self.node.cluster.fabric.transfer_many(requests)
-            yield env.all_of(transfers)
+            batch = self.node.cluster.fabric.transfer_many(requests)
+            yield env.all_of((batch,))
         # Account only once the transfers have resolved: an interrupted
         # fetch must not leave phantom bytes or a chunk never received.
         for dep_tid, size in pending:

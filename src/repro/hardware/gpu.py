@@ -84,6 +84,13 @@ class GpuSpec:
     kernel_overhead: float = 2e-4
     #: Memory reserved for the framework/cuDNN workspace, bytes.
     workspace_bytes: float = 0.5e9
+    #: :meth:`train_time` memo, one per instance (set in
+    #: ``__post_init__``, so ``dataclasses.replace`` starts a fresh one):
+    #: ``(id(profiles), batch) -> (profiles, seconds)``.  Not a field, so
+    #: equality, hashing, ``asdict`` and cache keys never see it.
+    _train_memo: _t.ClassVar[
+        dict[tuple[int, int], tuple[tuple[LayerProfile, ...], float]]
+    ]
 
     def __post_init__(self) -> None:
         if self.peak_flops <= 0 or self.memory_bytes <= 0:
@@ -98,6 +105,7 @@ class GpuSpec:
             raise ConfigurationError(
                 f"GPU {self.name!r}: saturation/overhead must be >= 0"
             )
+        object.__setattr__(self, "_train_memo", {})
 
     # -- saturation ---------------------------------------------------------
 
@@ -153,8 +161,22 @@ class GpuSpec:
         Saturation applies per layer kernel, which is what makes deep
         narrow layers need large batches while wide early layers saturate
         at small ones.
+
+        The sum is a pure function of the stack and the batch, so a
+        tuple stack (a sub-model's ``layers``) is memoized by identity.
+        The memo holds the tuple itself, so a recycled ``id`` can never
+        alias it.  A list may change in place, and ``Model.layers``
+        builds a fresh one per call, so lists are summed every time.
         """
-        return sum(self.layer_train_time(p, batch) for p in profiles)
+        key = (id(profiles), batch)
+        memo = self._train_memo
+        entry = memo.get(key)
+        if entry is not None and entry[0] is profiles:
+            return entry[1]
+        seconds = sum(self.layer_train_time(p, batch) for p in profiles)
+        if type(profiles) is tuple:
+            memo[key] = (profiles, seconds)
+        return seconds
 
     def forward_time(
         self, profiles: _t.Sequence[LayerProfile], batch: int

@@ -56,13 +56,23 @@ class Flow:
     remaining: float
     rate: float = 0.0
     started_at: float = 0.0
-    done: Event | None = None
+    batch: _Batch | None = None
 
     def __repr__(self) -> str:
         return (
             f"<Flow {self.fid} {self.src}->{self.dst} "
             f"{self.remaining:.0f}/{self.size:.0f}B @ {self.rate:.3g}B/s>"
         )
+
+
+@dataclasses.dataclass(slots=True)
+class _Batch:
+    """Countdown of one batch's in-flight flows to its one completion
+    event: only the flow that brings ``pending`` to zero schedules
+    ``event``."""
+
+    pending: int
+    event: Event
 
 
 @dataclasses.dataclass
@@ -183,17 +193,18 @@ class Fabric:
     def transfer(self, src: int, dst: int, size: float) -> Event:
         """Start a transfer of ``size`` bytes; returns its completion event.
 
-        A transfer between a node and itself is local and completes
-        immediately (zero simulated time, no bandwidth consumed): parameter
-        chunks and training samples on local storage are free to read, which
-        is exactly the data-locality asymmetry Fela's policies exploit.
+        The event's value is the transfer's duration.  A transfer between
+        a node and itself is local and completes immediately (zero
+        simulated time, no bandwidth consumed): parameter chunks and
+        training samples on local storage are free to read, which is
+        exactly the data-locality asymmetry Fela's policies exploit.
         """
-        return self._start(((src, dst, size),))[0]
+        return self._start(((src, dst, size),))
 
     def transfer_many(
         self, requests: _t.Iterable[tuple[int, int, float]]
-    ) -> list[Event]:
-        """Start several transfers at once; returns their completion events.
+    ) -> Event:
+        """Start several transfers at once; returns one completion event.
 
         Equivalent to calling :meth:`transfer` once per ``(src, dst,
         size)`` request at the same instant, but settles the in-flight
@@ -204,6 +215,12 @@ class Fabric:
         simulation — is identical; only the host-side work shrinks.
         Collectives and input fetches launch their per-peer flow sets
         through this path.
+
+        The event fires when the batch's last flow completes, ``latency``
+        after its last byte left, with that flow's duration as its value;
+        a batch with nothing on the wire (all local or zero-size)
+        succeeds at once.  Per-flow completion times are on the tracer's
+        ``net.transfer`` spans.
         """
         return self._start(requests)
 
@@ -234,7 +251,7 @@ class Fabric:
 
     def _start(
         self, requests: _t.Iterable[tuple[int, int, float]]
-    ) -> list[Event]:
+    ) -> Event:
         """The one admission path behind :meth:`transfer` and
         :meth:`transfer_many`: validate the whole batch, then build the
         flows and admit them.  A rejected batch mints no event."""
@@ -251,21 +268,20 @@ class Fabric:
                 )
         env = self.env
         now = env.now
-        make_event = env.event
         fids = self._fid
-        events: list[Event] = []
+        batch = _Batch(0, env.event())
         new: list[Flow] = []
         for src, dst, size in requests:
-            done = make_event()
-            events.append(done)
             if src == dst or size == 0:
-                done.succeed(0.0)
                 continue
             size = float(size)
-            new.append(Flow(next(fids), src, dst, size, size, 0.0, now, done))
+            new.append(Flow(next(fids), src, dst, size, size, 0.0, now, batch))
         if new:
+            batch.pending = len(new)
             self._admit(new)
-        return events
+        else:
+            batch.event.succeed(0.0)
+        return batch.event
 
     def _admit(self, new: list[Flow]) -> None:
         """Settle, add a batch of flows landing at one instant, re-rate.
@@ -721,7 +737,6 @@ class Fabric:
             tx_load[flow.src] -= 1
             rx_load[flow.dst] -= 1
             self.stats.flows_completed += 1
-            duration = now - flow.started_at + latency
             if tracer.enabled:
                 # The span covers wire time up to last-byte arrival; the
                 # tracer only records, so tracing never perturbs the sim.
@@ -732,12 +747,17 @@ class Fabric:
                     flow.started_at,
                     now + latency,
                 )
-            assert flow.done is not None
-            # The last byte arrives ``latency`` seconds after it was put on
-            # the wire; trigger the completion event with that delay.
-            flow.done._ok = True
-            flow.done._value = duration
-            env.schedule(flow.done, delay=latency)
+            batch = flow.batch
+            assert batch is not None
+            batch.pending -= 1
+            if not batch.pending:
+                # The batch's last byte arrives ``latency`` seconds after
+                # it was put on the wire; trigger the batch event with
+                # that delay.  Its earlier flows schedule nothing.
+                done = batch.event
+                done._ok = True
+                done._value = now - flow.started_at + latency
+                env.schedule(done, delay=latency)
         # A NIC that lost a flow is dirty only if it still carries
         # others: a flow that was alone on both its NICs leaves every
         # surviving rate as it was.

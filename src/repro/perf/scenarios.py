@@ -596,7 +596,7 @@ def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
 
         def waves(count: int):
             for _ in range(count):
-                yield env.all_of(fabric.transfer_many(ring))
+                yield env.all_of((fabric.transfer_many(ring),))
 
         env.process(waves(6))
         env.run()

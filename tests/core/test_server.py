@@ -172,3 +172,32 @@ class TestExhaustionAcrossOverlappingIterations:
         assert server._exhausted_for(0)
         server.end_iteration(0)
         server.end_iteration(1)
+
+
+class TestBucketChangedBroadcast:
+    def test_unwaited_broadcast_schedules_nothing(self, vgg19_partition):
+        server, cluster = make_server(vgg19_partition)
+        env = cluster.env
+        pending = server.bucket_changed_event()
+        before = env.scheduled_events
+        server._broadcast()
+        assert env.scheduled_events == before
+        assert server.bucket_changed_event() is pending
+        assert not pending.triggered
+
+        woke = []
+
+        def waiter():
+            yield server.bucket_changed_event()
+            woke.append(env.now)
+
+        def poke():
+            yield env.timeout(1.0)
+            server._broadcast()
+
+        env.process(waiter())
+        env.process(poke())
+        env.run()
+        assert woke == [1.0]
+        assert pending.processed
+        assert server.bucket_changed_event() is not pending

@@ -1,5 +1,7 @@
 """Unit tests for the GPU saturation and memory models."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
@@ -131,3 +133,52 @@ class TestValidation:
                 default_gpu.layer_train_time(p, 16) for p in vgg19.layers
             )
         )
+
+
+class TestTrainTimeMemo:
+    """``train_time`` memoizes a tuple stack by identity, exactly."""
+
+    BATCHES = (1, 2, 3, 7, 8, 16, 31, 32, 64, 100, 128, 512, 2048, 4096)
+
+    @pytest.mark.parametrize("name", ["vgg19", "googlenet"])
+    def test_bit_identical_to_the_sum(self, request, name):
+        partition = request.getfixturevalue(f"{name}_partition")
+        gpu = GpuSpec()
+        for submodel in partition.submodels:
+            for batch in self.BATCHES:
+                fresh = sum(
+                    gpu.layer_train_time(p, batch) for p in submodel.layers
+                )
+                miss = gpu.train_time(submodel.layers, batch)
+                hit = gpu.train_time(submodel.layers, batch)
+                assert repr(miss) == repr(hit) == repr(fresh)
+        assert len(gpu._train_memo) == len(partition.submodels) * len(
+            self.BATCHES
+        )
+
+    def test_equal_fresh_tuple_misses(self, vgg19_partition):
+        gpu = GpuSpec()
+        layers = vgg19_partition.submodels[0].layers
+        gpu.train_time(layers, 16)
+        copy = tuple(list(layers))
+        assert copy == layers and copy is not layers
+        assert gpu.train_time(copy, 16) == gpu.train_time(layers, 16)
+        assert len(gpu._train_memo) == 2
+
+    def test_lists_are_not_memoized(self, vgg19):
+        gpu = GpuSpec()
+        layers = vgg19.layers
+        first = gpu.train_time(layers, 16)
+        layers.pop()
+        assert gpu.train_time(layers, 16) < first
+        assert gpu._train_memo == {}
+
+    def test_replaced_spec_has_its_own_memo(self, vgg19_partition):
+        gpu = GpuSpec()
+        layers = vgg19_partition.submodels[0].layers
+        slow = gpu.train_time(layers, 16)
+        fast = dataclasses.replace(gpu, peak_flops=2 * gpu.peak_flops)
+        assert fast._train_memo is not gpu._train_memo
+        assert fast.train_time(layers, 16) < slow
+        assert fast == dataclasses.replace(gpu, peak_flops=3e12)
+        assert "_train_memo" not in {f.name for f in dataclasses.fields(gpu)}

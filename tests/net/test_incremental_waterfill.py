@@ -127,7 +127,7 @@ def test_disjoint_contended_pairs_take_restricted_solve():
 
     def xfer(src, dst):
         # Two flows on one NIC pair: a contended two-flow component.
-        yield env.all_of(fabric.transfer_many([(src, dst, 1e4)] * 2))
+        yield fabric.transfer_many([(src, dst, 1e4)] * 2)
 
     def main():
         # Four disjoint groups started while earlier ones are in flight.

@@ -11,7 +11,9 @@ equal sizes so completions land together — through
 full waterfill reproduces every rate and a rescan reproduces the delay.
 The default fabric, one always in the restricted regime and one that
 never runs a component solve must also agree on ``repr``-exact
-completion times and byte totals.
+completion times and byte totals.  A batch has one completion event, so
+per-flow completion times are read from the ``net.transfer`` spans of a
+recording :class:`Tracer` on the environment.
 """
 
 import random
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Fabric
+from repro.obs import EV_TRANSFER, Tracer
 from repro.sim import Environment
 from tests.net.checked_fabric import CheckedFabric
 
@@ -62,11 +65,29 @@ def _schedule(seed, batches):
     ]
 
 
+def _traced_env():
+    env = Environment()
+    tracer = Tracer()
+    tracer.attach_env(env)
+    env.tracer = tracer
+    return env
+
+
+def _spans(env):
+    """Completed wire flows as ``(src, dst, bytes, start, end)``, in
+    completion order."""
+    return [
+        (e.args["src"], e.args["dst"], e.args["bytes"], e.start, e.end)
+        for e in env.tracer.events
+        if e.name == EV_TRANSFER
+    ]
+
+
 def _run(schedule, incremental_cutoff=None, switch=None):
     """Run batches through ``transfer_many`` (one-flow batches through
-    ``transfer``); returns repr'd per-flow completion times, the repr'd
-    byte total and the fabric."""
-    env = Environment()
+    ``transfer``); returns the repr'd per-flow spans and per-batch
+    completion times, the repr'd byte total and the fabric."""
+    env = _traced_env()
     fabric = CheckedFabric(
         env,
         num_nodes=NUM_NODES,
@@ -76,28 +97,31 @@ def _run(schedule, incremental_cutoff=None, switch=None):
     )
     if incremental_cutoff is not None:
         fabric.incremental_cutoff = incremental_cutoff
-    finished: list[tuple[int, int, str]] = []
-
-    def waiter(index, position, event):
-        yield event
-        finished.append((index, position, repr(env.now)))
+    batches_done: list[tuple[int, str]] = []
 
     def launch(index, start, requests):
         if start:
             yield env.timeout(start)
         if len(requests) == 1:
-            events = [fabric.transfer(*requests[0])]
+            yield fabric.transfer(*requests[0])
         else:
-            events = fabric.transfer_many(requests)
-        for position, event in enumerate(events):
-            env.process(waiter(index, position, event))
+            yield fabric.transfer_many(requests)
+        batches_done.append((index, repr(env.now)))
 
     for index, (start, requests) in enumerate(schedule):
         env.process(launch(index, start, requests))
     env.run()
-    assert len(finished) == sum(len(r) for _, r in schedule)
+    spans = [tuple(map(repr, span)) for span in _spans(env)]
+    assert len(batches_done) == len(schedule)
+    assert len(spans) == sum(
+        src != dst for _, requests in schedule for src, dst, _ in requests
+    )
     assert fabric.checks > 0
-    return sorted(finished), repr(fabric.stats.bytes_transferred), fabric
+    return (
+        (sorted(spans), sorted(batches_done)),
+        repr(fabric.stats.bytes_transferred),
+        fabric,
+    )
 
 
 batches_strategy = st.lists(
@@ -208,18 +232,11 @@ def test_small_tables_admit_contended_flows_by_full_solve():
 def test_completion_that_leaves_a_nic_shared_resolves():
     """A finishing flow dirties only the NICs it leaves still loaded;
     the survivor there is re-rated up to the full link."""
-    env = Environment()
+    env = _traced_env()
     fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
-    first, second = fabric.transfer_many([(0, 1, 100.0), (0, 2, 300.0)])
-    finish: list[float] = []
-
-    def wait(event):
-        yield event
-        finish.append(env.now)
-
-    env.process(wait(first))
-    env.process(wait(second))
+    fabric.transfer_many([(0, 1, 100.0), (0, 2, 300.0)])
     env.run()
+    finish = [end for *_, end in _spans(env)]
     # Both at 50 B/s until t=2, then (0, 2) alone at 100 B/s for the
     # remaining 200 B.
     assert finish == [2.0, 4.0]
@@ -247,26 +264,21 @@ def test_fused_wakeup_at_an_instant_already_settled():
     """A second isolated batch at the same instant as the first arms the
     waker from the delay found at the first arming (no time passed, no
     rate changed), which must still be the true minimum."""
-    env = Environment()
+    env = _traced_env()
     fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
     fabric.incremental_cutoff = 0
-    done: list[tuple[str, float]] = []
 
     def main():
         yield env.timeout(1.0)
-        first = fabric.transfer_many([(0, 1, 50.0), (2, 3, 500.0)])
-        second = fabric.transfer_many([(4, 5, 300.0)])
+        fabric.transfer_many([(0, 1, 50.0), (2, 3, 500.0)])
+        fabric.transfer_many([(4, 5, 300.0)])
         assert fabric.stats.solves_full == 0
         assert fabric.stats.solves_restricted == 0
-        for name, event in zip("abc", first + second):
-            env.process(wait(name, event))
-
-    def wait(name, event):
-        yield event
-        done.append((name, env.now))
 
     env.process(main())
     env.run()
+    names = {(0, 1): "a", (2, 3): "b", (4, 5): "c"}
+    done = [(names[src, dst], end) for src, dst, *_, end in _spans(env)]
     assert done == [("a", 1.5), ("c", 4.0), ("b", 6.0)]
 
 
@@ -276,22 +288,14 @@ def test_sub_nanosecond_remainder_completes_with_its_batch():
     solve-free completion arms must come from the flows that survive
     the wake only, or the isolated bystander is woken — and forced
     complete — a nanosecond later."""
-    env = Environment()
+    env = _traced_env()
     fabric = CheckedFabric(env, num_nodes=6, link_bandwidth=1e9, latency=0.0)
-    done: dict[str, float] = {}
-
-    def wait(name, event):
-        yield event
-        done[name] = env.now
-
     # a and b share node 1's rx NIC at 5e8 B/s; when a finishes, b has
     # 0.4 B left: 8e-10 s, inside the completion tolerance.
-    events = fabric.transfer_many(
-        [(0, 1, 1e6), (2, 1, 1e6 + 0.4), (4, 5, 1e7)]
-    )
-    for name, event in zip("abc", events):
-        env.process(wait(name, event))
+    fabric.transfer_many([(0, 1, 1e6), (2, 1, 1e6 + 0.4), (4, 5, 1e7)])
     env.run()
+    names = {(0, 1): "a", (2, 1): "b", (4, 5): "c"}
+    done = {names[src, dst]: end for src, dst, *_, end in _spans(env)}
     assert done["a"] == done["b"] == 0.002
     assert done["c"] == pytest.approx(0.01, rel=1e-12)
     assert fabric.stats.flows_completed == 3
