@@ -15,14 +15,19 @@ capacities it traverses (source NIC tx, destination NIC rx, optionally an
 aggregate switch capacity) — captures these first-order effects without
 simulating packets.
 
-The implementation is event-driven: whenever the set of active flows
+The implementation is event-driven: when the set of active flows
 changes, the fabric *settles* the bytes transferred since the previous
 change at the previous rates, recomputes the fair-share allocation by
 water-filling, and schedules a wake-up at the earliest projected flow
-completion.  Throughout, every flow's rate equals what a fresh full
-waterfill of the current table would assign; a change that provably
-leaves those rates alone (a flow alone on both its NICs arriving or
-leaving) skips the waterfill.
+completion.  A change that provably leaves every rate alone (a flow
+alone on both its NICs arriving or leaving) skips the waterfill.  No
+simulated time passes within an instant, so only an instant's last
+allocation ever moves a byte: the first change that needs a solve at an
+instant solves at once, and every later one at the same instant only
+records the NICs it dirtied for one solve at the end of the instant (a
+``LATE`` event).  Whenever the timer is armed or a reader looks, every
+flow's rate equals what a fresh full waterfill of the current table
+would assign.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import typing as _t
+from collections import defaultdict
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event
+from repro.sim import LATE, Environment, Event
 
 #: Rates below this (bytes/second) are treated as zero to avoid scheduling
 #: wake-ups astronomically far in the future due to floating-point dust.
@@ -135,15 +141,20 @@ class Fabric:
         )
         self.stats = FabricStats()
         self._flows: dict[int, Flow] = {}
-        #: Resource → {fid: flow} index over active flows, maintained on
-        #: every add/remove.  It is what makes the incremental waterfill
-        #: possible: the connected component of a changed NIC can be
-        #: discovered without scanning the full flow table.  Resources
+        #: Resource → {fid: flow} index over active flows, maintained
+        #: inline on every add and remove (in :meth:`_admit` and
+        #: :meth:`_on_wake`); a resource whose last flow leaves is
+        #: dropped, so the index drains with the table.  It is what
+        #: makes the incremental waterfill possible: the connected
+        #: component of a changed NIC can be discovered without
+        #: scanning the full flow table.  Resources
         #: are keyed by small ints — ``src`` for a tx NIC, ``num_nodes +
         #: dst`` for an rx NIC, ``-1`` for the switch — because these
         #: keys are hashed on every hot-path dict operation and int
         #: hashing is far cheaper than tuple hashing.
-        self._by_resource: dict[int, dict[int, Flow]] = {}
+        self._by_resource: defaultdict[int, dict[int, Flow]] = defaultdict(
+            dict
+        )
         #: The index is built lazily: workloads that never leave the
         #: full-solve regime (small flow tables, or an aggregate switch)
         #: never pay the per-add/per-remove maintenance.  The first
@@ -187,6 +198,16 @@ class Fabric:
         #: has passed since the last settle this is still the minimum
         #: of ``remaining / rate`` over the table.
         self._next_dt = float("inf")
+        #: Instant of the last solve.  A later change at that same
+        #: instant that needs one defers it to the end of the instant
+        #: (see :meth:`_rerate`).
+        self._solved_at = -_INF
+        #: While an end-of-instant solve is pending: the ``LATE`` event
+        #: that runs it and the NICs the deferred changes dirtied.
+        #: ``_flush`` is ``None`` when nothing is pending.
+        self._flush: Event | None = None
+        self._flush_dirty: list[int] = []
+        self._flush_cb = self._on_flush
 
     # -- public API ---------------------------------------------------------
 
@@ -226,7 +247,8 @@ class Fabric:
 
     @property
     def active_flows(self) -> list[Flow]:
-        """Snapshot of flows currently in flight."""
+        """Snapshot of flows currently in flight, at their current rates."""
+        self._flush_now()
         return list(self._flows.values())
 
     def utilization(self, node: int, direction: str = "tx") -> float:
@@ -234,6 +256,7 @@ class Fabric:
         self._check_node(node)
         if direction not in ("tx", "rx"):
             raise SimulationError(f"direction must be tx or rx: {direction}")
+        self._flush_now()
         used = sum(
             flow.rate
             for flow in self._flows.values()
@@ -298,20 +321,26 @@ class Fabric:
         earliest completion among the old flows, and the waker is armed
         at the smaller of that and the new flows' ``size / bandwidth``
         — the value the rescan in :meth:`_schedule_wakeup` would find.
+        (While an end-of-instant solve is pending that delay may be
+        stale; :meth:`_rerate` drops it, because that solve rescans.)
         """
         self.stats.flows_started += len(new)
         flows = self._flows
         tx_load = self._tx_load
         rx_load = self._rx_load
-        indexed = not self._index_stale
+        num_nodes = self.num_nodes
+        by_resource = None if self._index_stale else self._by_resource
         next_dt = self._settle()
         for flow in new:
-            flows[flow.fid] = flow
-            tx_load[flow.src] += 1
-            rx_load[flow.dst] += 1
-            if indexed:
-                self._index_flow(flow)
-        num_nodes = self.num_nodes
+            fid = flow.fid
+            src = flow.src
+            dst = flow.dst
+            flows[fid] = flow
+            tx_load[src] += 1
+            rx_load[dst] += 1
+            if by_resource is not None:
+                by_resource[src][fid] = flow
+                by_resource[num_nodes + dst][fid] = flow
         bandwidth = self.link_bandwidth
         dirty: list[int] = []
         for flow in new:
@@ -400,24 +429,6 @@ class Fabric:
                     next_dt = dt
         return due, next_dt
 
-    def _index_flow(self, flow: Flow) -> None:
-        by_resource = self._by_resource
-        for key in (flow.src, self.num_nodes + flow.dst):
-            group = by_resource.get(key)
-            if group is None:
-                by_resource[key] = {flow.fid: flow}
-            else:
-                group[flow.fid] = flow
-
-    def _unindex_flow(self, flow: Flow) -> None:
-        by_resource = self._by_resource
-        for key in (flow.src, self.num_nodes + flow.dst):
-            group = by_resource.get(key)
-            if group is not None:
-                group.pop(flow.fid, None)
-                if not group:
-                    del by_resource[key]
-
     def _rerate(self, dirty: list[int], next_dt: float | None) -> None:
         """Bring the rates up to date after flows were added or removed,
         then re-arm the wake-up.
@@ -432,11 +443,42 @@ class Fabric:
         resources — flows in untouched components keep their rates,
         which the full progressive fill would reproduce bit-for-bit
         anyway because disjoint components never share a capacity term.
+
+        Only the first solve at an instant runs here.  A second change
+        at the same instant that needs one cancels the waker the first
+        armed and schedules one ``LATE`` :meth:`_on_flush`; until that
+        runs, every change only adds its dirty NICs (its ``next_dt``
+        may be stale, and the deferred solve rescans anyway).  That
+        solve covers every flow whose rate the skipped solves could
+        have changed — the rest keep rates that were exact and that no
+        skipped change touched — so it leaves the same rates, and arms
+        the same delay, as the instant's last eager solve would have.
+        The skipped allocations are dead: no time passes before the end
+        of the instant.  A change that needs no solve never starts a
+        deferral, so an instant of isolated changes pays no extra event.
         """
+        if self._flush is not None:
+            self._flush_dirty += dirty
+            return
         switch = self.switch_bandwidth is not None
         if not dirty and not switch:
             self._schedule_wakeup(next_dt)
             return
+        env = self.env
+        now = env._now
+        if now == self._solved_at:
+            waker = self._waker
+            if waker is not None:
+                waker.callbacks.remove(self._wake_cb)
+                self._waker = None
+            flush = Event(env)
+            flush._value = None
+            flush.callbacks = [self._flush_cb]
+            env.schedule(flush, priority=LATE)
+            self._flush = flush
+            self._flush_dirty = dirty
+            return
+        self._solved_at = now
         if switch or len(self._flows) <= self.incremental_cutoff:
             self._waterfill()
         else:
@@ -445,12 +487,29 @@ class Fabric:
             self._waterfill(self._dirty_component(dirty))
         self._schedule_wakeup()
 
+    def _on_flush(self, _event: Event) -> None:
+        """``LATE`` callback: the one deferred solve of this instant, over
+        the union of the NICs its skipped changes dirtied."""
+        self._flush = None
+        self._solved_at = -_INF  # so that _rerate solves, not defers
+        self._rerate(self._flush_dirty, None)
+
+    def _flush_now(self) -> None:
+        """Run a pending end-of-instant solve now, for a rate reader."""
+        flush = self._flush
+        if flush is not None:
+            flush.callbacks = []  # cancelled: it pops as an empty event
+            self._on_flush(flush)
+
     def _rebuild_index(self) -> None:
         """Build ``_by_resource`` from the flow table (first restricted
         solve only; afterwards add/remove maintain it incrementally)."""
-        self._by_resource.clear()
-        for flow in self._flows.values():
-            self._index_flow(flow)
+        by_resource = self._by_resource
+        by_resource.clear()
+        num_nodes = self.num_nodes
+        for fid, flow in self._flows.items():
+            by_resource[flow.src][fid] = flow
+            by_resource[num_nodes + flow.dst][fid] = flow
         self._index_stale = False
 
     def _dirty_component(
@@ -730,13 +789,26 @@ class Fabric:
         tracer = env.tracer
         tx_load = self._tx_load
         rx_load = self._rx_load
+        num_nodes = self.num_nodes
+        by_resource = None if self._index_stale else self._by_resource
+        self.stats.flows_completed += len(finished)
         for flow in finished:
-            del flows[flow.fid]
-            if not self._index_stale:
-                self._unindex_flow(flow)
-            tx_load[flow.src] -= 1
-            rx_load[flow.dst] -= 1
-            self.stats.flows_completed += 1
+            fid = flow.fid
+            src = flow.src
+            dst = flow.dst
+            del flows[fid]
+            if by_resource is not None:
+                group = by_resource[src]
+                del group[fid]
+                if not group:
+                    del by_resource[src]
+                key = num_nodes + dst
+                group = by_resource[key]
+                del group[fid]
+                if not group:
+                    del by_resource[key]
+            tx_load[src] -= 1
+            rx_load[dst] -= 1
             if tracer.enabled:
                 # The span covers wire time up to last-byte arrival; the
                 # tracer only records, so tracing never perturbs the sim.
@@ -761,7 +833,6 @@ class Fabric:
         # A NIC that lost a flow is dirty only if it still carries
         # others: a flow that was alone on both its NICs leaves every
         # surviving rate as it was.
-        num_nodes = self.num_nodes
         dirty: list[int] = []
         for flow in finished:
             if tx_load[flow.src]:

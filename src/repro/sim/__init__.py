@@ -22,6 +22,7 @@ Quick example::
 
 from repro.sim.core import Environment, Infinity
 from repro.sim.events import (
+    LATE,
     AllOf,
     AnyOf,
     Condition,
@@ -50,6 +51,7 @@ __all__ = [
     "FilterStore",
     "Infinity",
     "Interrupt",
+    "LATE",
     "PriorityResource",
     "Process",
     "Resource",

@@ -13,7 +13,13 @@ entries that a plain FIFO would serve in ``O(1)``.
 zero-width "today" bucket for delay-zero events — split into an URGENT and
 a NORMAL lane so each lane stays lexicographically monotone — and a binary
 heap for everything in the future.  Popping takes the minimum of the three
-heads under the usual ``(time, priority, seq)`` tuple order.
+heads under the usual ``(time, priority, seq)`` tuple order.  The lanes
+hold priorities 0 and 1 only: a delay-zero ``LATE`` (priority 2) entry —
+the fabric's one end-of-instant re-rate — lives in the heap, where the
+tuple order puts it after every lane entry at its instant, including
+ones appended after it, and before any later instant.  They are rare,
+so the heap costs them nothing that matters, and each lane keeps a
+single priority and stays monotone.
 
 Correctness rests on two invariants, both enforced by the environment:
 
@@ -44,6 +50,8 @@ import typing as _t
 from collections import deque
 from heapq import heappop, heappush
 
+from repro.sim.events import NORMAL
+
 #: Entries are ``(time, priority, sequence, payload)`` — the exact tuple
 #: shape the environment has always heap-ordered.
 Entry = _t.Tuple[float, int, int, _t.Any]
@@ -55,7 +63,8 @@ class CalendarQueue:
     """Priority queue with an O(1) fast lane for current-time events.
 
     ``urgent``/``normal`` are the delay-zero lanes (priority 0 and 1);
-    ``future`` is a binary heap of positive-delay entries.  Hot paths in
+    ``future`` is a binary heap of positive-delay entries and of
+    delay-zero entries with a priority above ``NORMAL``.  Hot paths in
     the kernel append/pop these attributes directly; this class is the
     reference interface and the home of the non-inlined operations.
     """
@@ -85,11 +94,13 @@ class CalendarQueue:
         ``immediate`` routes the entry to its priority lane; the caller
         guarantees lane appends are monotone non-decreasing (true for the
         environment, whose clock never runs backwards and whose sequence
-        numbers strictly increase).  Non-immediate entries go to the heap,
-        which accepts any order.
+        numbers strictly increase).  Non-immediate entries, and immediate
+        ones with a priority above ``NORMAL`` (no lane holds those), go to
+        the heap, which accepts any order.
         """
-        if immediate:
-            lane = self.normal if entry[1] else self.urgent
+        priority = entry[1]
+        if immediate and priority <= NORMAL:
+            lane = self.normal if priority else self.urgent
             if lane and entry < lane[-1]:
                 # A non-monotone append would corrupt the lane-head-is-min
                 # invariant; fall back to the always-correct heap.

@@ -30,9 +30,12 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: Event scheduling priorities.  Lower values are popped first at equal
 #: simulation times.  ``URGENT`` is used internally for process resumption
 #: so that a process observes the effects of the event that woke it before
-#: any same-time ``NORMAL`` events fire.
+#: any same-time ``NORMAL`` events fire.  ``LATE`` pops after every other
+#: event at its instant — including ones scheduled after it — and before
+#: any later instant: the fabric's end-of-instant re-rate rides on it.
 URGENT: int = 0
 NORMAL: int = 1
+LATE: int = 2
 
 #: Sentinel for "the event has not been assigned a value yet".
 PENDING = object()

@@ -8,6 +8,9 @@ caller already knew, that delay must also equal what a rescan of the
 table finds.  :class:`CheckedFabric` asserts both, compared by ``repr``,
 every time the timer is armed, so a differential test driven through it
 fails at the first divergent step instead of at a later completion time.
+It also asserts that the timer never fires while an end-of-instant
+re-rate is pending: the waker that instant's first change armed must
+have been cancelled, since its delay came from rates already dead.
 """
 
 from repro.net import Fabric
@@ -43,3 +46,7 @@ class CheckedFabric(Fabric):
                 assert repr(next_dt) == repr(rescan), (next_dt, rescan)
             self.checks += 1
         super()._schedule_wakeup(next_dt)
+
+    def _on_wake(self, event):
+        assert self._flush is None, "waker fired in a deferred instant"
+        super()._on_wake(event)

@@ -13,18 +13,21 @@ import pytest
 from repro.core import ring_allreduce
 from repro.hardware import Cluster, ClusterSpec
 from repro.net import Fabric
-from repro.sim import Environment
+from repro.sim import LATE, Environment
+from repro.sim.events import NORMAL
 
 
 def _spy_schedule(env):
-    """Record every event the fabric schedules (only completions use
-    ``env.schedule``; timeouts and succeeds queue themselves)."""
+    """Record every completion event the fabric schedules (completions
+    and the ``LATE`` end-of-instant re-rate use ``env.schedule``;
+    timeouts and succeeds queue themselves)."""
     scheduled = []
     original = env.schedule
 
-    def spy(event, *args, **kwargs):
-        scheduled.append(event)
-        return original(event, *args, **kwargs)
+    def spy(event, priority=NORMAL, delay=0.0):
+        if priority != LATE:
+            scheduled.append(event)
+        return original(event, priority, delay)
 
     env.schedule = spy
     return scheduled

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Fabric
-from repro.net.fabric import Flow
 from repro.sim import Environment
 from tests.net.checked_fabric import CheckedFabric
 
@@ -191,15 +190,21 @@ def test_index_tracks_adds_and_removes():
 
 
 def test_unindex_is_exact():
-    """Unindexing one flow leaves siblings on the shared NIC indexed."""
+    """A completing flow leaves its siblings on the shared NIC indexed
+    and drops the resource it held alone."""
     env = Environment()
     fabric = Fabric(env, num_nodes=4, link_bandwidth=100.0, latency=0.0)
-    f1 = Flow(fid=1, src=0, dst=1, size=10.0, remaining=10.0)
-    f2 = Flow(fid=2, src=0, dst=2, size=10.0, remaining=10.0)
-    fabric._index_flow(f1)
-    fabric._index_flow(f2)
-    fabric._unindex_flow(f1)
-    assert 0 in fabric._by_resource  # tx NIC of node 0 still has f2
-    assert list(fabric._by_resource[0]) == [2]
-    fabric._unindex_flow(f2)
+    fabric.incremental_cutoff = 0
+    # Flows 0 and 1 share node 0's tx NIC at 50 B/s; flow 0 ends at t=2.
+    fabric.transfer_many([(0, 1, 100.0), (0, 2, 300.0)])
+    assert {key: list(group) for key, group in fabric._by_resource.items()} == {
+        0: [0, 1], 4 + 1: [0], 4 + 2: [1],
+    }
+    env.run(until=3.0)
+    assert fabric.stats.flows_completed == 1
+    # tx NIC of node 0 still has flow 1; node 1's rx NIC is gone.
+    assert {key: list(group) for key, group in fabric._by_resource.items()} == {
+        0: [1], 4 + 2: [1],
+    }
+    env.run()
     assert fabric._by_resource == {}

@@ -37,3 +37,54 @@ def test_optimized_engine_matches_pins(name, traced, vgg19_partition):
         vgg19_partition, cls, make_straggler(), tracer, **kwargs
     )
     assert repr(total) == PINNED[name]
+
+
+def test_fela_1000workers_counts_are_pinned():
+    """The 1000-worker two-level vgg19 run (the shape of
+    ``macro.fela_1000workers``) pins its result and the fabric's and
+    kernel's work counts exactly.  A change to any count here is an
+    algorithmic change: explain it in CHANGES.md before updating it."""
+    from repro import (
+        Cluster,
+        ClusterSpec,
+        ExperimentRunner,
+        FelaConfig,
+        FelaRuntime,
+        Partition,
+        SubModel,
+    )
+
+    full = ExperimentRunner().partition("vgg19")
+    rest = tuple(
+        layer for submodel in list(full)[1:] for layer in submodel.layers
+    )
+    partition = Partition(
+        model=full.model,
+        submodels=(
+            SubModel(
+                index=0,
+                layers=full[0].layers,
+                threshold_batch=full[0].threshold_batch,
+            ),
+            SubModel(
+                index=1, layers=rest, threshold_batch=full[1].threshold_batch
+            ),
+        ),
+    )
+    config = FelaConfig(
+        partition=partition,
+        total_batch=4000,
+        num_workers=1000,
+        weights=(1, 2),
+        conditional_subset_size=128,
+        iterations=1,
+        collective="hierarchical",
+    )
+    cluster = Cluster(ClusterSpec(num_nodes=1000))
+    result = FelaRuntime(config, cluster).run()
+    stats = cluster.fabric.stats
+    assert repr(result.total_time) == "17.407032957663915"
+    assert stats.flows_started == 66594
+    assert stats.solves_full == 32
+    assert stats.solves_restricted == 127
+    assert cluster.env.scheduled_events == 24376

@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+from repro.sim import LATE, Environment, Event
+from repro.sim.events import NORMAL, URGENT
 from repro.sim.calendar import CalendarQueue
 
 
@@ -34,10 +36,11 @@ def _drive(seed: int, ops: int) -> None:
         action = rng.random()
         if action < 0.55:
             # Schedule.  Coarse delay grid forces duplicate timestamps;
-            # immediate entries use both priorities, future entries get
-            # a random priority too (Environment.schedule allows it).
+            # immediate entries use all three priorities (a LATE one
+            # goes to the heap), future entries get a random priority
+            # too (Environment.schedule allows it).
             delay = rng.choice((0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 2.5))
-            priority = rng.choice((0, 1))
+            priority = rng.choice((0, 1, 1, 2))
             entry = (now + delay, priority, seq, None)
             queue.push(entry, delay == 0.0)
             heapq.heappush(reference, entry)
@@ -88,6 +91,57 @@ def test_urgent_lane_wins_at_equal_time_and_lower_seq_wins_within():
     queue.push((1.0, 1, 2, "normal-later"), True)
     assert [queue.pop()[3] for _ in range(3)] == [
         "urgent-later", "normal-first", "normal-later",
+    ]
+
+
+def test_late_entries_live_in_the_heap_and_pop_last_at_their_instant():
+    queue = CalendarQueue()
+    queue.push((1.0, 2, 0, "late"), True)
+    assert len(queue.future) == 1 and not queue.normal
+    queue.push((1.0, 1, 1, "normal-after"), True)
+    queue.push((1.0, 0, 2, "urgent-after"), True)
+    queue.push((1.5, 0, 3, "next-instant"))
+    assert [queue.pop()[3] for _ in range(4)] == [
+        "urgent-after", "normal-after", "late", "next-instant",
+    ]
+
+
+def test_late_event_pops_after_its_instant_and_before_the_next():
+    """``env.schedule(event, priority=LATE)`` runs after every event at
+    its instant — URGENT or NORMAL, scheduled before or after it, and
+    the cascades those trigger — and before any later instant."""
+    env = Environment()
+    order: list[tuple[str, float]] = []
+
+    def mark(name, priority=NORMAL, delay=0.0):
+        event = Event(env)
+        event._value = None
+        event.callbacks = [lambda _: order.append((name, env.now))]
+        env.schedule(event, priority=priority, delay=delay)
+        return event
+
+    def at_one():
+        yield env.timeout(1.0)
+        mark("normal-before")
+        mark("urgent-before", URGENT)
+        late = mark("late", LATE)
+        late.callbacks.append(lambda _: mark("normal-from-late"))
+        cascade = mark("normal-after")
+        cascade.callbacks.append(lambda _: mark("urgent-from-cascade", URGENT))
+        mark("urgent-after", URGENT)
+
+    mark("next-instant", NORMAL, delay=1.0 + 1e-9)
+    env.process(at_one())
+    env.run()
+    assert order == [
+        ("urgent-before", 1.0),
+        ("urgent-after", 1.0),
+        ("normal-before", 1.0),
+        ("normal-after", 1.0),
+        ("urgent-from-cascade", 1.0),
+        ("late", 1.0),
+        ("normal-from-late", 1.0),
+        ("next-instant", 1.0 + 1e-9),
     ]
 
 
