@@ -14,9 +14,10 @@ properties nothing else enforces mechanically:
 Two complementary halves:
 
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.linter` — an
-  AST-based lint pass (``python -m repro.analysis lint src``) with
-  codebase-specific rules (FELA001..FELA005) and ``# repro: noqa-RULE``
-  suppression;
+  AST-based lint pass (``repro analyze src``) with codebase-specific
+  rules (FELA001..FELA006) and ``# repro: noqa-RULE`` suppression, plus
+  the whole-program FELA1xx rules of :mod:`repro.analysis.flow`
+  (``repro analyze --flow src``);
 * :mod:`repro.analysis.invariants` — an opt-in runtime checker that
   :class:`~repro.core.runtime.FelaRuntime` puts on the tracer stream,
   raising a structured :class:`~repro.errors.InvariantViolation` on the
@@ -30,7 +31,6 @@ from repro.analysis.linter import (
     format_text,
     lint_paths,
     lint_source,
-    main,
 )
 from repro.analysis.rules import LintRule, all_rules, get_rule
 
@@ -44,5 +44,4 @@ __all__ = [
     "get_rule",
     "lint_paths",
     "lint_source",
-    "main",
 ]

@@ -3,34 +3,15 @@
 Layered on the syntactic linter in :mod:`repro.analysis`: a per-file
 fact extractor feeds a project-wide symbol table / call graph, and
 flow-sensitive rules evaluate interprocedural taint over the result.
-Per-file facts are content-addressed and cached through
-:mod:`repro.exec.cache`, so warm runs re-analyze only changed files.
+Run it with ``repro analyze --flow PATHS``.
 """
 
-from repro.analysis.flow.baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.analysis.flow.engine import FlowReport, analyze_paths
 from repro.analysis.flow.rules import FLOW_RULES, FlowFinding
-from repro.analysis.flow.sarif import (
-    make_sarif,
-    render_sarif,
-    validate_sarif,
-)
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "FLOW_RULES",
     "FlowFinding",
     "FlowReport",
     "analyze_paths",
-    "load_baseline",
-    "make_sarif",
-    "partition",
-    "render_sarif",
-    "validate_sarif",
-    "write_baseline",
 ]

@@ -211,7 +211,7 @@ def event_kinds(program: Program) -> dict[str, str]:
     ``"mixed"``: both; ``"unknown"``: cannot tell (no flag is raised on
     unknowns — the rule only fires on certainty).
     """
-    VALUE_KINDS = {"value", "set", "dict-view", "none", "param"}
+    VALUE_KINDS = {"value", "set", "none", "param"}
     state: dict[str, tuple[bool, bool, bool]] = {}
     # (has_event, has_value, has_unknown)
     for qualname in sorted(program.functions):

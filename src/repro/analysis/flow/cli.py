@@ -1,187 +1,55 @@
-"""Command-line driver for the flow analyzer.
+"""Report rendering for ``repro analyze --flow``.
 
-Shared by ``repro analyze --flow`` and ``python -m repro.analysis flow``
-so both entry points have identical flags, formats, and exit codes:
+Exit codes match the per-file linter's:
 
-* ``0`` — clean (reporting mode), or no *new* findings under
-  ``--fail-on-new``;
-* ``1`` — ``--fail-on-new`` and at least one non-baselined finding;
+* ``0`` — no findings;
+* ``1`` — at least one finding;
 * ``2`` — usage error (still rendered in the requested format, so JSON
   consumers never receive bare text).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import typing as _t
 
-from repro.analysis.flow.baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.analysis.flow.engine import FlowReport, analyze_paths
-from repro.analysis.flow.rules import FLOW_RULES, FlowFinding
-from repro.analysis.flow.sarif import render_sarif
-from repro.analysis.linter import PARSE_ERROR_RULE, format_error
-from repro.exec.cache import ResultCache, default_cache_dir
+from repro.analysis.linter import format_error
 
 
-def add_flow_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the flow-analysis flags on a (sub)parser."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"], help="files or directories"
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"accepted-findings file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept every current finding into --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--fail-on-new",
-        action="store_true",
-        help="exit 1 when any finding is missing from the baseline",
-    )
-    parser.add_argument(
-        "--sarif-out",
-        default=None,
-        metavar="FILE",
-        help="also write a SARIF 2.1.0 report to FILE",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental per-file facts cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="facts cache directory (default: REPRO_CACHE_DIR or "
-        "~/.cache/repro)",
-    )
-
-
-def _format_text(
-    report: FlowReport,
-    new: _t.Sequence[FlowFinding],
-    baselined: _t.Sequence[FlowFinding],
-) -> str:
-    accepted = {id(f) for f in baselined}
-    lines = []
-    for finding in report.findings:
-        suffix = " [baselined]" if id(finding) in accepted else ""
-        lines.append(finding.render() + suffix)
+def _format_text(report: FlowReport) -> str:
+    lines = [finding.render() for finding in report.findings]
+    count = len(report.findings)
     lines.append(
-        f"{len(report.findings)} finding"
-        f"{'s' if len(report.findings) != 1 else ''} "
-        f"({len(new)} new, {len(baselined)} baselined) across "
-        f"{report.files} files / {report.functions} functions "
-        f"[cache: {report.cache_hits} hits, "
-        f"{report.cache_misses} misses]"
+        f"{count} finding{'s' if count != 1 else ''} across "
+        f"{report.files} files / {report.functions} functions"
     )
     return "\n".join(lines)
 
 
-def _format_json(
-    report: FlowReport,
-    new: _t.Sequence[FlowFinding],
-    baselined: _t.Sequence[FlowFinding],
-) -> str:
-    accepted = {id(f) for f in baselined}
-    findings = []
-    for finding in report.findings:
-        entry = finding.to_dict()
-        entry["baselined"] = id(finding) in accepted
-        findings.append(entry)
+def _format_json(report: FlowReport) -> str:
     return json.dumps(
         {
-            "findings": findings,
+            "findings": [finding.to_dict() for finding in report.findings],
             "count": len(report.findings),
-            "new": len(new),
-            "baselined": len(baselined),
             "files": report.files,
             "functions": report.functions,
-            "cache": {
-                "hits": report.cache_hits,
-                "misses": report.cache_misses,
-            },
         },
         indent=2,
         sort_keys=True,
     )
 
 
-def _all_rules() -> dict[str, str]:
-    from repro.analysis.rules import all_rules
-
-    catalog = dict(FLOW_RULES)
-    catalog[PARSE_ERROR_RULE] = "file could not be parsed"
-    for rule in all_rules():
-        catalog.setdefault(rule.rule_id, rule.summary)
-    return catalog
-
-
 def run_flow(
-    paths: _t.Sequence[str],
-    output_format: str = "text",
-    baseline_path: str = DEFAULT_BASELINE,
-    write_baseline_file: bool = False,
-    fail_on_new: bool = False,
-    sarif_out: str | None = None,
-    cache: ResultCache | None = None,
+    paths: _t.Sequence[str], output_format: str = "text"
 ) -> tuple[str, int]:
     """Run the flow analysis; return (report text, exit code)."""
     try:
-        report = analyze_paths(paths, cache=cache)
-        if write_baseline_file:
-            count = write_baseline(
-                baseline_path, report.findings, report.sources
-            )
-            return (
-                f"wrote {count} finding"
-                f"{'s' if count != 1 else ''} to {baseline_path}",
-                0,
-            )
-        accepted = load_baseline(baseline_path)
-    except (FileNotFoundError, ValueError, OSError) as exc:
+        report = analyze_paths(paths)
+    except (OSError, UnicodeDecodeError) as exc:
         return format_error(str(exc), output_format), 2
-    new, baselined = partition(report.findings, report.sources, accepted)
-    if sarif_out is not None:
-        with open(sarif_out, "w", encoding="utf-8") as handle:
-            handle.write(
-                render_sarif(report.findings, _all_rules(), baselined)
-            )
-            handle.write("\n")
     if output_format == "json":
-        text = _format_json(report, new, baselined)
-    elif output_format == "sarif":
-        text = render_sarif(report.findings, _all_rules(), baselined)
+        text = _format_json(report)
     else:
-        text = _format_text(report, new, baselined)
-    return text, 1 if (fail_on_new and new) else 0
-
-
-def run_flow_args(args: argparse.Namespace) -> tuple[str, int]:
-    """Adapter from parsed argparse flags to :func:`run_flow`."""
-    cache: ResultCache | None = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    return run_flow(
-        args.paths,
-        output_format=args.format,
-        baseline_path=args.baseline,
-        write_baseline_file=args.write_baseline,
-        fail_on_new=args.fail_on_new,
-        sarif_out=args.sarif_out,
-        cache=cache,
-    )
+        text = _format_text(report)
+    return text, 1 if report.findings else 0

@@ -1,40 +1,25 @@
-"""The flow-analysis driver: file walking, caching, noqa, reporting.
+"""The flow-analysis driver: file walking, noqa, reporting.
 
 ``analyze_paths`` is the one entry point: it expands paths into files,
-obtains per-file facts (from the incremental cache when the content
-hash matches, from a fresh parse otherwise), assembles the
-whole-program model, evaluates every FELA1xx rule, and filters
-``# repro: noqa-RULE`` suppressions.  The interprocedural phase always
-re-runs — it is cheap — so a warm run re-parses *only* changed files,
-which is what the reported ``cache_hits`` / ``cache_misses`` verify.
-
-The cache tier is the PR 5 :class:`repro.exec.cache.ResultCache`:
-facts are keyed by :func:`repro.exec.cache.canonical_key` over the
-file's content hash plus :data:`~repro.analysis.flow.facts.FLOW_SCHEMA`,
-so editing a file — or changing the extraction semantics — invalidates
-exactly the entries it must.
+extracts per-file facts from a fresh parse, assembles the whole-program
+model, evaluates every FELA1xx rule, and filters
+``# repro: noqa-RULE`` suppressions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import pathlib
 import typing as _t
 
 from repro.analysis.flow.callgraph import Program
-from repro.analysis.flow.facts import (
-    FLOW_SCHEMA,
-    ModuleFacts,
-    extract_module_facts,
-)
+from repro.analysis.flow.facts import ModuleFacts, extract_module_facts
 from repro.analysis.flow.rules import FlowFinding, evaluate
 from repro.analysis.linter import (
     PARSE_ERROR_RULE,
     _noqa_map,
     iter_python_files,
 )
-from repro.exec.cache import ResultCache, canonical_key
 
 
 @dataclasses.dataclass
@@ -44,40 +29,6 @@ class FlowReport:
     findings: list[FlowFinding]
     files: int
     functions: int
-    cache_hits: int
-    cache_misses: int
-    #: path -> source text (consumed by baseline fingerprinting).
-    sources: dict[str, str]
-
-    def counts_by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return counts
-
-
-def facts_cache_key(source: str, path: str) -> str:
-    """Content-addressed key for one file's extracted facts."""
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return canonical_key(
-        "flow-facts",
-        {"sha256": digest, "path": path, "flow_schema": FLOW_SCHEMA},
-    )
-
-
-def _facts_for(
-    source: str, path: str, cache: ResultCache | None
-) -> tuple[ModuleFacts, bool]:
-    """(facts, was_cache_hit) for one file; raises SyntaxError."""
-    if cache is None:
-        return extract_module_facts(source, path), False
-    key = facts_cache_key(source, path)
-    cached = cache.get(key, decode=ModuleFacts.from_dict)
-    if cached is not None:
-        return cached, True
-    facts = extract_module_facts(source, path)
-    cache.put(key, facts, encode=ModuleFacts.to_dict)
-    return facts, False
 
 
 def _suppressed(
@@ -91,20 +42,18 @@ def _suppressed(
 
 def analyze_paths(
     paths: _t.Iterable[str | pathlib.Path],
-    cache: ResultCache | None = None,
 ) -> FlowReport:
     """Run the whole-program flow analysis over files/directories."""
     modules: list[ModuleFacts] = []
     sources: dict[str, str] = {}
     parse_errors: list[FlowFinding] = []
-    hits = misses = 0
     files = iter_python_files(paths)
     for file_path in files:
         path = str(file_path)
         source = file_path.read_text(encoding="utf-8")
         sources[path] = source
         try:
-            facts, hit = _facts_for(source, path, cache)
+            modules.append(extract_module_facts(source, path))
         except SyntaxError as exc:
             parse_errors.append(
                 FlowFinding(
@@ -115,13 +64,6 @@ def analyze_paths(
                     message=f"cannot parse file: {exc.msg}",
                 )
             )
-            misses += 1
-            continue
-        if hit:
-            hits += 1
-        else:
-            misses += 1
-        modules.append(facts)
     program = Program(modules)
     findings = evaluate(program) + parse_errors
     kept: list[FlowFinding] = []
@@ -133,7 +75,4 @@ def analyze_paths(
         findings=sorted(set(kept)),
         files=len(files),
         functions=len(program.functions),
-        cache_hits=hits,
-        cache_misses=misses,
-        sources=sources,
     )

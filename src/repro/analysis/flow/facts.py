@@ -1,12 +1,11 @@
-"""Per-file fact extraction: the cacheable unit of the flow analysis.
+"""Per-file fact extraction: the local half of the flow analysis.
 
 One parse of one file produces a :class:`ModuleFacts` — a pure function
-of the file's text, which is why the engine can cache it under a
-content hash (:mod:`repro.analysis.flow.engine`).  Facts are *local*:
-calls are recorded as best-effort dotted names, taint that depends on a
-callee's behaviour is recorded symbolically (``call:<name>`` atoms),
-and the global phase (:mod:`repro.analysis.flow.callgraph`) resolves
-the symbols against the whole-program function table.
+of the file's text.  Facts are *local*: calls are recorded as
+best-effort dotted names, taint that depends on a callee's behaviour is
+recorded symbolically (``call:<name>`` atoms), and the global phase
+(:mod:`repro.analysis.flow.callgraph`) resolves the symbols against the
+whole-program function table.
 
 The intra-function walk is a light abstract interpreter: statements are
 visited in order, every local variable carries a set of *taint atoms*
@@ -25,8 +24,10 @@ Taint atoms
 
 Value kinds
     ``event``                   an Event from the sim kernel
-    ``set`` / ``dict-view``     unordered (or order-fragile) iterables
-    ``value``                   a plain, order-free scalar/container
+    ``set``                     an unordered iterable
+    ``value``                   a plain scalar/container (dict views
+                                included: they iterate in insertion
+                                order)
     ``call:<n>`` / ``class:<n>``  resolved call/constructor results
     ``unpicklable:<why>``       lambdas, open files, generators, locks
     ``unknown``                 anything the walk cannot classify
@@ -39,10 +40,6 @@ import dataclasses
 import typing as _t
 
 from repro.analysis.rules import _WALL_CLOCK
-
-#: Bump on any change to the fact schema or extraction semantics: cached
-#: per-file facts then miss and are recomputed instead of resurfacing.
-FLOW_SCHEMA = 1
 
 KIND_WALL = "wall-clock"
 KIND_ENV = "host-env"
@@ -134,7 +131,7 @@ def _unparse(node: ast.AST, limit: int = 60) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fact records (all JSON-round-trippable via asdict / from_dict).
+# Fact records.
 # ---------------------------------------------------------------------------
 
 
@@ -160,11 +157,10 @@ class SinkFact:
 
 @dataclasses.dataclass
 class LoopFact:
-    """An iteration over an unordered (or order-fragile) iterable."""
+    """An iteration over an unordered set."""
 
     line: int
     col: int
-    kind: str  # "set" | "dict-view"
     desc: str  # source text of the iterable
     body_calls: list[str]
     body_sink: bool
@@ -228,34 +224,6 @@ class FunctionFacts:
     acquires: list[AcquireFact]
     ctors: list[CtorFact]
 
-    @classmethod
-    def from_dict(cls, data: dict[str, _t.Any]) -> "FunctionFacts":
-        return cls(
-            qualname=data["qualname"],
-            module=data["module"],
-            cls=data["cls"],
-            line=data["line"],
-            col=data["col"],
-            is_generator=data["is_generator"],
-            touches_state=data["touches_state"],
-            returns=list(data["returns"]),
-            return_atoms=list(data["return_atoms"]),
-            calls=[CallFact(**c) for c in data["calls"]],
-            sinks=[SinkFact(**s) for s in data["sinks"]],
-            loops=[LoopFact(**lp) for lp in data["loops"]],
-            yields_=[YieldFact(**y) for y in data["yields_"]],
-            acquires=[AcquireFact(**a) for a in data["acquires"]],
-            ctors=[
-                CtorFact(
-                    callee=c["callee"],
-                    line=c["line"],
-                    col=c["col"],
-                    bad=[BadArg(**b) for b in c["bad"]],
-                )
-                for c in data["ctors"]
-            ],
-        )
-
 
 @dataclasses.dataclass
 class ClassFacts:
@@ -266,15 +234,6 @@ class ClassFacts:
     bases: list[str]
     methods: list[str]
 
-    @classmethod
-    def from_dict(cls, data: dict[str, _t.Any]) -> "ClassFacts":
-        return cls(
-            qualname=data["qualname"],
-            line=data["line"],
-            bases=list(data["bases"]),
-            methods=list(data["methods"]),
-        )
-
 
 @dataclasses.dataclass
 class ModuleFacts:
@@ -284,20 +243,6 @@ class ModuleFacts:
     module: str
     functions: list[FunctionFacts]
     classes: list[ClassFacts]
-
-    def to_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, _t.Any]) -> "ModuleFacts":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            functions=[
-                FunctionFacts.from_dict(f) for f in data["functions"]
-            ],
-            classes=[ClassFacts.from_dict(c) for c in data["classes"]],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +477,10 @@ class _FunctionScan:
     def _visit_for(self, stmt: ast.For) -> None:
         atoms, kind = self.expr(stmt.iter)
         fact: LoopFact | None = None
-        if kind in ("set", "dict-view"):
+        if kind == "set":
             fact = LoopFact(
                 line=stmt.lineno,
                 col=stmt.col_offset + 1,
-                kind=kind,
                 desc=_unparse(stmt.iter),
                 body_calls=[],
                 body_sink=False,
@@ -725,7 +669,7 @@ class _FunctionScan:
             # A set comprehension's result is itself unordered, so the
             # iteration order of its source can never escape it.
             if (
-                iter_kind in ("set", "dict-view")
+                iter_kind == "set"
                 and not order_safe
                 and not isinstance(node, ast.SetComp)
             ):
@@ -734,7 +678,6 @@ class _FunctionScan:
                 fact = LoopFact(
                     line=gen.iter.lineno,
                     col=gen.iter.col_offset + 1,
-                    kind=iter_kind,
                     desc=_unparse(gen.iter),
                     body_calls=[],
                     body_sink=False,
@@ -865,17 +808,15 @@ class _FunctionScan:
             return (
                 all_atoms | {f"call:{resolved}"}, f"call:{resolved}"
             )
-        if attr in ("keys", "values"):
-            return all_atoms | self._receiver_atoms(func), "dict-view"
+        if attr in ("keys", "values", "items"):
+            return all_atoms | self._receiver_atoms(func), "value"
         if attr in _SET_METHODS:
             return all_atoms | self._receiver_atoms(func), "set"
         if attr in ("request", "acquire"):
             return frozenset(), "event"
-        if attr in ("copy", "items"):
+        if attr == "copy":
             recv_atoms, recv_kind = self.expr(func.value)
-            if attr == "copy":
-                return all_atoms | recv_atoms, recv_kind
-            return all_atoms | recv_atoms, "dict-view"
+            return all_atoms | recv_atoms, recv_kind
         # Unresolved method call: taint flows from receiver and args.
         return all_atoms | self._receiver_atoms(func), "unknown"
 

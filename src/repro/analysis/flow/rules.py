@@ -12,8 +12,8 @@ explanation rather than a pattern match.
 FELA101    a nondeterministic value (wall clock, host environment,
            unseeded RNG) reaches simulation time — directly or
            laundered through any number of helper calls
-FELA102    iteration over an unordered ``set`` / order-fragile dict
-           view feeds scheduling-order-sensitive state
+FELA102    iteration over an unordered ``set`` feeds
+           scheduling-order-sensitive state, or its order escapes
 FELA103    a JobSpec construction captures an unpicklable or unseeded
            value, breaking byte-identical parallel sweeps
 FELA104    a sim-process ``yield`` resolves to a plain value, not an
@@ -40,14 +40,14 @@ from repro.analysis.flow.callgraph import (
 )
 from repro.analysis.flow.facts import SIM_PACKAGES, in_packages
 
-#: Rule id -> one-line summary (drives --list-rules and SARIF metadata).
+#: Rule id -> one-line summary (drives --list-rules).
 FLOW_RULES: dict[str, str] = {
     "FELA101": (
         "no nondeterministic value (wall clock, host env, unseeded RNG) "
         "may reach simulation time, even through helper calls"
     ),
     "FELA102": (
-        "no unordered set/dict-view iteration may feed "
+        "no unordered set iteration may feed "
         "scheduling-order-sensitive simulation state"
     ),
     "FELA103": (
@@ -152,10 +152,6 @@ def _fela102(
         if not facts.module.startswith("repro"):
             continue
         for loop in facts.loops:
-            noun = (
-                "unordered set" if loop.kind == "set"
-                else "order-fragile dict view"
-            )
             via = next(
                 (
                     resolved.qualname
@@ -167,15 +163,16 @@ def _fela102(
             )
             if loop.body_sink or via is not None:
                 message = (
-                    f"iteration over {noun} ({loop.desc}) feeds "
+                    f"iteration over unordered set ({loop.desc}) feeds "
                     "scheduling-order-sensitive state; iterate "
                     "sorted(...) or an insertion-ordered structure"
                 )
             else:
                 message = (
-                    f"iteration order over {noun} ({loop.desc}) "
-                    "escapes this loop; sort it, or baseline this "
-                    "site if the consumer is order-insensitive"
+                    f"iteration order over unordered set ({loop.desc}) "
+                    "escapes this loop; sort it, or mark it "
+                    "`# repro: noqa-FELA102` if the consumer is "
+                    "order-insensitive"
                 )
             yield FlowFinding(
                 path=facts_path(program, facts),
@@ -225,7 +222,7 @@ def _fela104(
         for yielded in facts.yields_:
             message: str | None = None
             trace: tuple[str, ...] = (qualname,)
-            if yielded.kind in ("value", "set", "dict-view"):
+            if yielded.kind in ("value", "set"):
                 message = (
                     "sim process yields a plain value on this path; "
                     "every yield must produce an Event "

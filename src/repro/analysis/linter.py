@@ -1,11 +1,11 @@
-"""The lint driver: file walking, suppression, reporting, CLI.
+"""The lint driver: file walking, suppression, reporting.
 
-Usage::
+Usage (through the package CLI, :mod:`repro.cli`)::
 
-    python -m repro.analysis lint src tests benchmarks
-    python -m repro.analysis lint src --format json
-    python -m repro.analysis lint src --select FELA001,FELA002
-    python -m repro.analysis rules
+    python -m repro analyze src tests benchmarks
+    python -m repro analyze src --format json
+    python -m repro analyze src --select FELA001,FELA002
+    python -m repro analyze --list-rules
 
 A finding on a line carrying ``# repro: noqa`` (suppress everything) or
 ``# repro: noqa-FELA001`` / ``# repro: noqa-FELA001,FELA004`` (suppress
@@ -15,12 +15,10 @@ the listed rules) is dropped.  Exit codes: 0 clean, 1 violations found,
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import pathlib
 import re
-import sys
 import typing as _t
 
 from repro.analysis.rules import (
@@ -186,7 +184,7 @@ def format_error(message: str, output_format: str) -> str:
     """A usage error in the shape the chosen format promises.
 
     JSON consumers parse stdout/stderr either way, so an error must be
-    a JSON document too — same for SARIF (an empty, valid run).
+    a JSON document too.
     """
     if output_format == "json":
         return json.dumps(
@@ -194,10 +192,6 @@ def format_error(message: str, output_format: str) -> str:
             indent=2,
             sort_keys=True,
         )
-    if output_format == "sarif":
-        from repro.analysis.flow.sarif import render_sarif
-
-        return render_sarif([], {})
     return f"error: {message}"
 
 
@@ -206,38 +200,6 @@ def format_rules() -> str:
     for rule in all_rules():
         lines.append(f"{rule.rule_id}  {rule.summary}")
     return "\n".join(lines)
-
-
-# -- CLI --------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis",
-        description="Static analysis for the Fela reproduction codebase",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    lint = sub.add_parser("lint", help="run the FELA lint rules")
-    lint.add_argument("paths", nargs="+", help="files or directories")
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-
-    sub.add_parser("rules", help="list the registered rules")
-
-    flow = sub.add_parser(
-        "flow", help="run the whole-program FELA1xx flow rules"
-    )
-    from repro.analysis.flow.cli import add_flow_arguments
-
-    add_flow_arguments(flow)
-    return parser
 
 
 def run_lint(
@@ -252,40 +214,7 @@ def run_lint(
         return format_error(str(exc), output_format), 2
     if output_format == "json":
         report = format_json(violations)
-    elif output_format == "sarif":
-        from repro.analysis.flow.sarif import render_sarif
-        from repro.analysis.rules import all_rules
-
-        report = render_sarif(
-            violations,
-            {rule.rule_id: rule.summary for rule in all_rules()},
-        )
     else:
         report = format_text(violations)
     return report, 1 if violations else 0
 
-
-def main(argv: _t.Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "rules":
-            print(format_rules())
-            return 0
-        if args.command == "flow":
-            from repro.analysis.flow.cli import run_flow_args
-
-            report, code = run_flow_args(args)
-        else:
-            report, code = run_lint(
-                args.paths, output_format=args.format, select=args.select
-            )
-        print(report, file=sys.stderr if code == 2 else sys.stdout)
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `| head`) closed the pipe; the
-        # report was truncated on purpose, not by a linter failure.
-        return 0
-    return code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

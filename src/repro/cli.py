@@ -24,8 +24,10 @@ Commands map onto the library's public API:
     ``--exhaustive`` restores the full sweep.
 ``cache {stats,ls,clear}``
     Inspect or empty the persistent result cache.
-``analyze [PATHS...]``
-    The FELA determinism lint pass (see :mod:`repro.analysis`).
+``analyze [PATHS...] [--flow] [--select IDS] [--format {text,json}]``
+    The FELA determinism lint pass (see :mod:`repro.analysis`);
+    ``--flow`` runs the whole-program FELA1xx rules instead and
+    ``--list-rules`` lists both rule sets.  Exit 1 on any finding.
 ``bench [--compare BASELINE --fail-on-regress PCT] [--profile]``
     The performance lab (see :mod:`repro.perf`): run deterministic
     benchmark scenarios, append them to a regression store, compare
@@ -397,20 +399,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
         return "\n".join(lines), 0
     if args.flow:
         from repro.analysis.flow.cli import run_flow
-        from repro.exec.cache import ResultCache, default_cache_dir
 
-        cache = None
-        if not args.no_cache:
-            cache = ResultCache(args.cache_dir or default_cache_dir())
-        return run_flow(
-            args.paths,
-            output_format=args.format,
-            baseline_path=args.baseline,
-            write_baseline_file=args.write_baseline,
-            fail_on_new=args.fail_on_new,
-            sarif_out=args.sarif_out,
-            cache=cache,
-        )
+        return run_flow(args.paths, output_format=args.format)
     return run_lint(
         args.paths, output_format=args.format, select=args.select
     )
@@ -886,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=["src"], help="files or directories"
     )
     analyze.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
+        "--format", choices=("text", "json"), default="text"
     )
     analyze.add_argument(
         "--select", default=None, help="comma-separated rule ids"
@@ -896,31 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow", action="store_true",
         help="run the whole-program FELA1xx flow rules instead of the "
         "per-file syntactic rules",
-    )
-    analyze.add_argument(
-        "--baseline", default="analysis-baseline.json",
-        help="accepted flow findings (default: analysis-baseline.json)",
-    )
-    analyze.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept every current flow finding into --baseline",
-    )
-    analyze.add_argument(
-        "--fail-on-new", action="store_true",
-        help="exit 1 when a flow finding is missing from the baseline",
-    )
-    analyze.add_argument(
-        "--sarif-out", default=None, metavar="FILE",
-        help="also write a SARIF 2.1.0 report to FILE",
-    )
-    analyze.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental per-file facts cache",
-    )
-    analyze.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="facts cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/fela-repro)",
     )
 
     bench = sub.add_parser(

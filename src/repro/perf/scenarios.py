@@ -765,35 +765,3 @@ def _object_churn(_ctx: ScenarioContext) -> RunOnce:
         )
 
     return run_once
-
-
-@register(
-    "micro.flow_analysis",
-    MICRO,
-    "whole-program flow analysis over the repro.analysis package: "
-    "fact extraction, call-graph fixed points, rule evaluation "
-    "(memory-cache warm pass included)",
-)
-def _flow_analysis(_ctx: ScenarioContext) -> RunOnce:
-    from pathlib import Path
-
-    import repro
-    from repro.analysis.flow import analyze_paths
-    from repro.exec import ResultCache
-
-    # A fixed, committed slice of the package keeps the workload
-    # byte-stable across machines: the analyzer analyzing itself.
-    target = Path(repro.__file__).parent / "analysis"
-
-    def run_once() -> ScenarioStats:
-        cache = ResultCache(directory=None)  # memo tier only
-        cold = analyze_paths([target], cache=cache)
-        warm = analyze_paths([target], cache=cache)
-        assert warm.cache_misses == 0  # the memo tier must carry pass 2
-        assert warm.findings == cold.findings
-        return ScenarioStats(
-            simulated_seconds=0.0,
-            events=cold.functions + len(cold.findings),
-        )
-
-    return run_once

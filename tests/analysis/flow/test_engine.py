@@ -1,9 +1,8 @@
-"""The analyze_paths driver: fixtures, caching, noqa, parse errors."""
+"""The analyze_paths driver: fixtures, noqa, parse errors."""
 
 import pathlib
 
 from repro.analysis.flow import analyze_paths
-from repro.exec.cache import ResultCache
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -41,44 +40,6 @@ def test_clean_fixture_module_contributes_no_findings():
 def test_findings_are_sorted_and_unique():
     report = analyze_paths([FIXTURES])
     assert report.findings == sorted(set(report.findings))
-
-
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        sim = tmp_path / "src" / "repro" / "sim"
-        sim.mkdir(parents=True)
-        (sim / "a.py").write_text(
-            "def proc(env, n):\n    yield n + 1\n"
-        )
-        (sim / "b.py").write_text(
-            "def make(env):\n    return env.timeout(1.0)\n"
-        )
-        return tmp_path
-
-    def test_warm_run_reanalyzes_only_changed_files(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = ResultCache(tmp_path / "cache")
-        cold = analyze_paths([tree], cache=cache)
-        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
-
-        warm = analyze_paths([tree], cache=cache)
-        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
-        assert warm.findings == cold.findings
-
-        (tree / "src" / "repro" / "sim" / "a.py").write_text(
-            "def proc(env, n):\n    yield env.timeout(1.0)\n"
-        )
-        touched = analyze_paths([tree], cache=cache)
-        assert (touched.cache_hits, touched.cache_misses) == (1, 1)
-        assert touched.findings == []
-
-    def test_cacheless_run_matches_cached_run(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = ResultCache(tmp_path / "cache")
-        assert (
-            analyze_paths([tree], cache=cache).findings
-            == analyze_paths([tree]).findings
-        )
 
 
 class TestSuppressionAndErrors:

@@ -6,7 +6,6 @@ from repro.analysis.flow.facts import (
     KIND_ENV,
     KIND_RNG,
     KIND_WALL,
-    ModuleFacts,
     extract_module_facts,
     module_name,
 )
@@ -103,20 +102,25 @@ class TestLoopFacts:
             "        env.schedule(x, 0, 1.0)\n"
         )
         (loop,) = fn(module, "f").loops
-        assert loop.kind == "set"
+        assert loop.desc == "set(xs)"
         assert loop.body_sink
 
     def test_dict_view_through_local_recorded(self):
+        # Dict views iterate in insertion order: no loop fact, however
+        # the view reaches the loop.
         module = facts_of(
             "def f(d):\n"
             "    out = []\n"
+            "    view = d.values()\n"
             "    for v in d.values():\n"
             "        out.append(v)\n"
-            "    return out\n"
+            "    for k in d.keys():\n"
+            "        out.append(k)\n"
+            "    for kv in view:\n"
+            "        out.append(kv)\n"
+            "    return [v for _, v in d.items()]\n"
         )
-        (loop,) = fn(module, "f").loops
-        assert loop.kind == "dict-view"
-        assert not loop.body_sink
+        assert fn(module, "f").loops == []
 
     def test_sorted_iteration_not_recorded(self):
         module = facts_of(
@@ -141,7 +145,7 @@ class TestLoopFacts:
             "    return [x for x in set(xs)]\n"
         )
         (loop,) = fn(module, "f").loops
-        assert loop.kind == "set"
+        assert loop.desc == "set(xs)"
 
 
 class TestYieldAndResourceFacts:
@@ -209,22 +213,6 @@ class TestCtorFacts:
 
 
 class TestRoundTrip:
-    def test_facts_survive_dict_round_trip(self):
-        module = facts_of(
-            "import time\n"
-            "class C:\n"
-            "    def m(self, env):\n"
-            "        claim = env.request()\n"
-            "        for x in set(env.ids):\n"
-            "            env.schedule(x, 0, time.time())\n"
-            "        yield claim\n"
-        )
-        clone = ModuleFacts.from_dict(module.to_dict())
-        assert clone.to_dict() == module.to_dict()
-        assert [f.qualname for f in clone.functions] == [
-            f.qualname for f in module.functions
-        ]
-
     def test_syntax_error_propagates(self):
         with pytest.raises(SyntaxError):
             facts_of("def broken(:\n")

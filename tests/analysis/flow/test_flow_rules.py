@@ -78,24 +78,33 @@ class TestFELA102:
                 "src/repro/obs/a.py",
                 "def rows(d):\n"
                 "    out = []\n"
-                "    for v in d.values():\n"
+                "    for v in set(d):\n"
                 "        out.append(v)\n"
                 "    return out\n",
             ),
         )
         (finding,) = [f for f in findings if f.rule_id == "FELA102"]
         assert "escapes this loop" in finding.message
+        assert "# repro: noqa-FELA102" in finding.message
+        assert "baseline" not in finding.message
 
     def test_sorted_iteration_not_flagged(self):
-        findings = findings_for(
-            (
-                "src/repro/sim/a.py",
-                "def proc(env, xs):\n"
-                "    for x in sorted(set(xs)):\n"
-                "        env.schedule(x, 0, 1.0)\n",
-            ),
-        )
-        assert "FELA102" not in rules_hit(findings)
+        for loop in (
+            "for x in sorted(set(xs)):",
+            # Dict views iterate in insertion order.
+            "for x in d.values():",
+            "for x in d.keys():",
+            "for _, x in d.items():",
+        ):
+            findings = findings_for(
+                (
+                    "src/repro/sim/a.py",
+                    "def proc(env, xs, d):\n"
+                    f"    {loop}\n"
+                    "        env.schedule(x, 0, 1.0)\n",
+                ),
+            )
+            assert "FELA102" not in rules_hit(findings), loop
 
 
 class TestFELA103:
@@ -135,14 +144,14 @@ class TestFELA104:
         findings = findings_for(
             (
                 "src/repro/sim/a.py",
-                "def proc(env, n):\n"
+                "def proc(env, n, d):\n"
                 "    yield env.timeout(1.0)\n"
-                "    yield n + 1\n",
+                "    yield n + 1\n"
+                "    yield d.values()\n",
             ),
         )
         flagged = [f for f in findings if f.rule_id == "FELA104"]
-        assert len(flagged) == 1
-        assert flagged[0].line == 3
+        assert [f.line for f in flagged] == [3, 4]
 
     def test_value_returning_helper_yield_flagged(self):
         findings = findings_for(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis import lint_paths, main
+from repro.analysis import lint_paths
 from repro.analysis.linter import PARSE_ERROR_RULE, iter_python_files
 from repro.cli import main as repro_main
 
@@ -38,35 +38,35 @@ def tree(tmp_path):
 
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tree, capsys):
-        assert main(["lint", str(tree / "clean.py")]) == 0
+        assert repro_main(["analyze", str(tree / "clean.py")]) == 0
         assert "no violations" in capsys.readouterr().out
 
     def test_violations_exit_one_with_rule_ids(self, tree, capsys):
-        code = main(["lint", str(tree / "src")])
+        code = repro_main(["analyze", str(tree / "src")])
         out = capsys.readouterr().out
         assert code == 1
         assert "FELA001" in out
         assert "FELA002" in out
 
     def test_missing_path_exits_two(self, tree, capsys):
-        assert main(["lint", str(tree / "nope")]) == 2
+        assert repro_main(["analyze", str(tree / "nope")]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, tree):
-        assert main(["lint", str(tree), "--select", "FELA999"]) == 2
+        assert repro_main(["analyze", str(tree), "--select", "FELA999"]) == 2
 
 
 class TestFormatsAndSelection:
     def test_json_format_is_machine_readable(self, tree, capsys):
-        main(["lint", str(tree / "src"), "--format", "json"])
+        repro_main(["analyze", str(tree / "src"), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
         ids = {v["rule_id"] for v in payload["violations"]}
         assert ids == {"FELA001", "FELA002"}
 
     def test_select_narrows_rules(self, tree, capsys):
-        code = main(
-            ["lint", str(tree / "src"), "--select", "FELA002"]
+        code = repro_main(
+            ["analyze", str(tree / "src"), "--select", "FELA002"]
         )
         out = capsys.readouterr().out
         assert code == 1
@@ -74,7 +74,7 @@ class TestFormatsAndSelection:
         assert "FELA001" not in out
 
     def test_rules_subcommand_lists_registry(self, capsys):
-        assert main(["rules"]) == 0
+        assert repro_main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("FELA001", "FELA002", "FELA003", "FELA004",
                         "FELA005"):
@@ -127,21 +127,32 @@ class TestReproAnalyzeSubcommand:
         (tree / "src" / "repro" / "sim" / "proc.py").write_text(
             "def proc(env, n):\n    yield n + 1\n"
         )
-        code = repro_main(
-            [
-                "analyze", "--flow", str(tree / "src"),
-                "--no-cache", "--fail-on-new",
-                "--baseline", str(tmp_path / "baseline.json"),
-            ]
-        )
+        code = repro_main(["analyze", "--flow", str(tree / "src")])
         assert code == 1
         assert "FELA104" in capsys.readouterr().out
+
+    def test_analyze_flow_clean_tree_exits_zero(self, tree, capsys):
+        code = repro_main(["analyze", "--flow", str(tree / "clean.py")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("0 findings across")
+
+    def test_analyze_flow_usage_error_exits_two_in_every_format(
+        self, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing")
+        assert repro_main(["analyze", "--flow", missing]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert (
+            repro_main(["analyze", "--flow", missing, "--format", "json"])
+            == 2
+        )
+        assert "error" in json.loads(capsys.readouterr().err)
 
 
 class TestFormatConsistency:
     def test_error_is_json_in_json_mode(self, tmp_path, capsys):
-        code = main(
-            ["lint", str(tmp_path / "nope"), "--format", "json"]
+        code = repro_main(
+            ["analyze", str(tmp_path / "nope"), "--format", "json"]
         )
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
@@ -149,13 +160,13 @@ class TestFormatConsistency:
         assert payload["violations"] == []
 
     def test_error_is_text_in_text_mode(self, tmp_path, capsys):
-        assert main(["lint", str(tmp_path / "nope")]) == 2
+        assert repro_main(["analyze", str(tmp_path / "nope")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_text_and_json_agree_on_exit_code(self, tree):
-        text_code = main(["lint", str(tree / "src")])
-        json_code = main(
-            ["lint", str(tree / "src"), "--format", "json"]
+        text_code = repro_main(["analyze", str(tree / "src")])
+        json_code = repro_main(
+            ["analyze", str(tree / "src"), "--format", "json"]
         )
         assert text_code == json_code == 1
 

@@ -124,9 +124,10 @@ class TestStoreFormat:
         )
 
     def test_ci_baseline_resolves_after_scenario_retirement(self):
-        # The CI gate pins this run.  It still carries the record of one
-        # since-deleted scenario, which a comparison over the registered
-        # scenarios never reaches.
+        # An older CI gate run.  It still carries the records of two
+        # since-deleted scenarios (one of them micro.flow_analysis),
+        # which a comparison over the registered scenarios never
+        # reaches.
         baseline = run_for_label(
             load_store("BENCH_core.json"), "isolated-admission"
         )
@@ -140,7 +141,7 @@ class TestStoreFormat:
             },
         )
         comparison = compare_runs(current, baseline)
-        assert len(comparison.rows) == len(baseline.records) - 1
+        assert len(comparison.rows) == len(baseline.records) - 2
         assert {row.status for row in comparison.rows} == {"ok"}
 
     def test_ci_baseline_measures_every_smoke_scenario(self):
