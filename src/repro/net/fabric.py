@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import typing as _t
-from collections import defaultdict
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 
 from repro.errors import SimulationError
@@ -126,9 +125,16 @@ class Fabric:
     ) -> None:
         if num_nodes < 1:
             raise SimulationError(f"need at least one node: {num_nodes}")
-        if link_bandwidth <= 0:
+        # The waterfill needs positive, finite capacities: every flow
+        # then freezes at a finite share.
+        if not 0 < link_bandwidth < _INF:
             raise SimulationError(
-                f"link bandwidth must be positive: {link_bandwidth}"
+                f"link bandwidth must be positive and finite: {link_bandwidth}"
+            )
+        if switch_bandwidth is not None and not 0 < switch_bandwidth < _INF:
+            raise SimulationError(
+                "switch bandwidth must be positive and finite: "
+                f"{switch_bandwidth}"
             )
         if latency < 0:
             raise SimulationError(f"latency must be >= 0: {latency}")
@@ -141,26 +147,20 @@ class Fabric:
         )
         self.stats = FabricStats()
         self._flows: dict[int, Flow] = {}
-        #: Resource → {fid: flow} index over active flows, maintained
-        #: inline on every add and remove (in :meth:`_admit` and
-        #: :meth:`_on_wake`); a resource whose last flow leaves is
-        #: dropped, so the index drains with the table.  It is what
-        #: makes the incremental waterfill possible: the connected
-        #: component of a changed NIC can be discovered without
-        #: scanning the full flow table.  Resources
-        #: are keyed by small ints — ``src`` for a tx NIC, ``num_nodes +
-        #: dst`` for an rx NIC, ``-1`` for the switch — because these
-        #: keys are hashed on every hot-path dict operation and int
-        #: hashing is far cheaper than tuple hashing.
-        self._by_resource: defaultdict[int, dict[int, Flow]] = defaultdict(
-            dict
-        )
-        #: The index is built lazily: workloads that never leave the
-        #: full-solve regime (small flow tables, or an aggregate switch)
-        #: never pay the per-add/per-remove maintenance.  The first
-        #: restricted solve rebuilds it from the flow table and clears
-        #: this flag; from then on add/remove keep it current.
-        self._index_stale: bool = True
+        #: Per-NIC index over active flows: a list of ``2 * num_nodes``
+        #: ``{fid: flow}`` dicts, slot ``src`` for a tx NIC and slot
+        #: ``num_nodes + dst`` for an rx NIC.  It is what makes the
+        #: incremental waterfill possible: the connected component of a
+        #: changed NIC can be discovered without scanning the full flow
+        #: table.  It is ``None`` until the first restricted solve
+        #: builds it from the flow table (:meth:`_rebuild_index`), so
+        #: workloads that never leave the full-solve regime (small flow
+        #: tables, or an aggregate switch) never allocate it or pay its
+        #: upkeep.  From then on :meth:`_admit` and :meth:`_on_wake`
+        #: insert and delete by list index; a NIC whose last flow
+        #: leaves keeps its (empty) dict, so the index drains to empty
+        #: dicts with the table.
+        self._by_resource: list[dict[int, Flow]] | None = None
         #: Active-flow count per tx NIC / rx NIC, indexed by node and
         #: kept current on every add and remove.  A flow whose two
         #: counts are 1 is *isolated*: it shares no capacity with any
@@ -329,7 +329,7 @@ class Fabric:
         tx_load = self._tx_load
         rx_load = self._rx_load
         num_nodes = self.num_nodes
-        by_resource = None if self._index_stale else self._by_resource
+        by_resource = self._by_resource
         next_dt = self._settle()
         for flow in new:
             fid = flow.fid
@@ -372,7 +372,9 @@ class Fabric:
         if elapsed <= 0:
             return self._next_dt
         self._last_settle = now
-        stats = self.stats
+        # Same left fold over the table as adding each ``moved`` to the
+        # stats field in turn, kept in a local until the end.
+        transferred = self.stats.bytes_transferred
         next_dt = float("inf")
         for flow in self._flows.values():
             rate = flow.rate
@@ -382,11 +384,12 @@ class Fabric:
                 moved = remaining
             remaining -= moved
             flow.remaining = remaining
-            stats.bytes_transferred += moved
+            transferred += moved
             if rate > _RATE_EPS:
                 dt = remaining / rate
                 if dt < next_dt:
                     next_dt = dt
+        self.stats.bytes_transferred = transferred
         return next_dt
 
     def _settle_and_find_due(self) -> tuple[list[Flow], float] | None:
@@ -407,7 +410,7 @@ class Fabric:
         if elapsed <= 0:
             return None
         self._last_settle = now
-        stats = self.stats
+        transferred = self.stats.bytes_transferred
         due: list[Flow] = []
         next_dt = _INF
         for flow in self._flows.values():
@@ -418,7 +421,7 @@ class Fabric:
                 moved = remaining
             remaining -= moved
             flow.remaining = remaining
-            stats.bytes_transferred += moved
+            transferred += moved
             if remaining <= _BYTES_EPS:
                 due.append(flow)
             elif rate > _RATE_EPS:
@@ -427,6 +430,7 @@ class Fabric:
                     due.append(flow)
                 elif dt < next_dt:
                     next_dt = dt
+        self.stats.bytes_transferred = transferred
         return due, next_dt
 
     def _rerate(self, dirty: list[int], next_dt: float | None) -> None:
@@ -482,8 +486,6 @@ class Fabric:
         if switch or len(self._flows) <= self.incremental_cutoff:
             self._waterfill()
         else:
-            if self._index_stale:
-                self._rebuild_index()
             self._waterfill(self._dirty_component(dirty))
         self._schedule_wakeup()
 
@@ -501,16 +503,18 @@ class Fabric:
             flush.callbacks = []  # cancelled: it pops as an empty event
             self._on_flush(flush)
 
-    def _rebuild_index(self) -> None:
+    def _rebuild_index(self) -> list[dict[int, Flow]]:
         """Build ``_by_resource`` from the flow table (first restricted
         solve only; afterwards add/remove maintain it incrementally)."""
-        by_resource = self._by_resource
-        by_resource.clear()
         num_nodes = self.num_nodes
+        by_resource: list[dict[int, Flow]] = [
+            {} for _ in range(2 * num_nodes)
+        ]
         for fid, flow in self._flows.items():
             by_resource[flow.src][fid] = flow
             by_resource[num_nodes + flow.dst][fid] = flow
-        self._index_stale = False
+        self._by_resource = by_resource
+        return by_resource
 
     def _dirty_component(
         self, dirty: _t.Iterable[int]
@@ -521,9 +525,12 @@ class Fabric:
         covers more than half the active flows the restricted solve can
         no longer win — the traversal bails out rather than finish
         discovering a component it will not use.  (Never called with an
-        aggregate switch, which couples every flow.)
+        aggregate switch, which couples every flow.)  The first call
+        builds the NIC index.
         """
         by_resource = self._by_resource
+        if by_resource is None:
+            by_resource = self._rebuild_index()
         num_nodes = self.num_nodes
         bail = len(self._flows) // 2
         seen_keys: set[int] = set()
@@ -535,7 +542,7 @@ class Fabric:
                 frontier.append(key)
         while frontier:
             key = frontier.pop()
-            flows_here = by_resource.get(key)
+            flows_here = by_resource[key]
             if not flows_here:
                 continue
             # Walk the index dict directly: its insertion order is a
@@ -566,7 +573,7 @@ class Fabric:
         """Assign max-min fair rates to active flows.
 
         Classic progressive filling: repeatedly find the most constrained
-        resource (capacity / unfrozen flows crossing it), freeze those flows
+        resource (capacity / unrated flows crossing it), freeze those flows
         at the fair share, subtract, and repeat.  When ``component`` is
         given it must be a union of whole connected components in
         ascending-fid order; the fill then touches only those flows and
@@ -574,138 +581,145 @@ class Fabric:
         order, ``cap / count`` sequence, tie-breaks — is identical to its
         slice of the full solve, because resources never span components,
         so the resulting rates are bit-identical.
+
+        Each round freezes the bottleneck's flows as one group, which is
+        bit-identical to freezing them one flow at a time:
+
+        * every subtraction in a round is the same ``share``, so each
+          other resource sees the same sequence of clamped subtractions;
+        * every flow on the bottleneck freezes in the round, so its own
+          count ends at 0 and its capacity is never read again: its
+          updates are dead, and the round only zeroes its count;
+        * the heap path pushes a candidate only for a resource other
+          than the bottleneck (the switch once per round).  A candidate
+          is valid while its share equals its resource's current ``cap
+          / count``, and each live resource's current candidate is on
+          the heap either way, so every pop sees the same valid
+          ``(share, seq)`` keys and picks the same bottleneck.
         """
         if component is None:
             self.stats.solves_full += 1
-            flows: list[Flow] | _t.Any = list(self._flows.values())
+            flows: _t.Collection[Flow] = self._flows.values()
         else:
             self.stats.solves_restricted += 1
             flows = component
-        for flow in flows:
-            flow.rate = 0.0
         if not flows:
             return
 
         # Resources: tx NIC (key ``node``) and rx NIC (key ``num_nodes +
-        # node``) per node, plus optionally the aggregate switch (key
-        # ``-1``).  Each resource holds one fused ``[remaining capacity,
-        # live (unfrozen) flow count, member flows]`` entry.  A round's
-        # share scan walks ``entries``, an explicit list in resource
-        # first-seen order — the same order the dict view used to yield,
-        # now pinned by construction instead of by dict internals.  The
-        # arithmetic — the ``cap / count`` sequence, the strict ``<``
-        # tie-break, the clamp at zero — matches the naive per-flow form
-        # exactly, so the allocation is bit-identical to it.
+        # node``) per node, plus optionally the aggregate switch.  Each
+        # holds one fused ``[remaining capacity, unrated flow count,
+        # members, seq]`` entry, ``seq`` its first-seen position in
+        # ``entries``, which the scan walks (strict ``<``: the first seen
+        # wins a tie) and the heap breaks ties by.  A NIC entry's members
+        # are ``(flow, seq of the flow's other NIC)`` pairs and the
+        # switch's are ``(flow, tx seq, rx seq)`` triples, so a freeze
+        # looks up no key.  (Positions, not the entries themselves: an
+        # entry reachable from its partner's members would make every
+        # solve leave reference cycles for the garbage collector.)  A
+        # rate below zero marks a flow not yet frozen.
         link_bandwidth = self.link_bandwidth
         num_nodes = self.num_nodes
-        state: dict[int, list[_t.Any]] = {}
+        state: dict[int, int] = {}
         entries: list[list[_t.Any]] = []
         for flow in flows:
-            for key in (flow.src, num_nodes + flow.dst):
-                entry = state.get(key)
-                if entry is None:
-                    entry = [link_bandwidth, 1, [flow], len(entries)]
-                    state[key] = entry
-                    entries.append(entry)
-                else:
-                    entry[1] += 1
-                    entry[2].append(flow)
-        has_switch = self.switch_bandwidth is not None
-        skey = -1
-        if has_switch:
-            entry = [
-                _t.cast(float, self.switch_bandwidth),
-                len(flows),
-                list(flows),
-                len(entries),
+            flow.rate = -1.0
+            key = flow.src
+            tx_seq = state.get(key)
+            if tx_seq is None:
+                tx_seq = state[key] = len(entries)
+                entries.append([link_bandwidth, 0, [], tx_seq])
+            key = num_nodes + flow.dst
+            rx_seq = state.get(key)
+            if rx_seq is None:
+                rx_seq = state[key] = len(entries)
+                entries.append([link_bandwidth, 0, [], rx_seq])
+            entry = entries[tx_seq]
+            entry[1] += 1
+            entry[2].append((flow, rx_seq))
+            entry = entries[rx_seq]
+            entry[1] += 1
+            entry[2].append((flow, tx_seq))
+        switch: list[_t.Any] | None = None
+        if self.switch_bandwidth is not None:
+            triples = [
+                (flow, state[flow.src], state[num_nodes + flow.dst])
+                for flow in flows
             ]
-            state[skey] = entry
-            entries.append(entry)
+            switch = [
+                self.switch_bandwidth, len(triples), triples, len(entries)
+            ]
+            entries.append(switch)
 
-        unfrozen: set[int] = {flow.fid for flow in flows}
-        infinity = float("inf")
-
+        heap: list[tuple[float, int, list[_t.Any]]] | None = None
         if len(entries) > self.waterfill_heap_cutoff:
             # Sub-quadratic fill: a lazy-invalidation min-heap of
             # ``(share, seq, entry)`` candidates replaces the per-round
-            # scan.  Every time an entry's ``cap``/``count`` changes a
-            # fresh candidate is pushed with the new ``cap / count``, so
-            # the heap always holds each live entry's current share;
-            # stale candidates are recognized on pop (the stored share
-            # no longer equals the entry's current quotient) and
-            # dropped.  The first valid pop is therefore the exact
-            # ``(share, seq)`` minimum — the same entry the strict-``<``
-            # first-seen scan selects, computing the same ``cap /
-            # count`` float — so the freeze order, the arithmetic
-            # sequence, and the resulting rates are bit-identical to
-            # the scan's.  Cost drops from rounds × entries to
-            # O((entries + flows) log entries).
+            # scan.  A stale candidate (its share is no longer the
+            # entry's current quotient) is dropped on pop, so the first
+            # valid pop is the exact ``(share, seq)`` minimum, the entry
+            # the scan would select.  Cost drops from rounds × entries
+            # to O((entries + flows) log entries).
             heap = [
                 (entry[0] / entry[1], entry[3], entry) for entry in entries
             ]
             _heapify(heap)
-            while unfrozen and heap:
-                best_share, _, best_entry = _heappop(heap)
-                count = best_entry[1]
-                if not count or best_entry[0] / count != best_share:
-                    continue
-                for flow in best_entry[2]:
-                    fid = flow.fid
-                    if fid not in unfrozen:
-                        continue
-                    flow.rate = best_share
-                    unfrozen.discard(fid)
-                    for key in (flow.src, num_nodes + flow.dst):
-                        entry = state[key]
-                        cap = entry[0] - best_share
-                        entry[0] = cap if cap > 0.0 else 0.0
-                        count = entry[1] - 1
-                        entry[1] = count
-                        if count:
-                            _heappush(
-                                heap, (entry[0] / count, entry[3], entry)
-                            )
-                    if has_switch:
-                        entry = state[skey]
-                        cap = entry[0] - best_share
-                        entry[0] = cap if cap > 0.0 else 0.0
-                        count = entry[1] - 1
-                        entry[1] = count
-                        if count:
-                            _heappush(
-                                heap, (entry[0] / count, entry[3], entry)
-                            )
-        else:
-            while unfrozen:
-                # Fair share offered by each still-relevant resource.
-                best_entry = None
-                best_share = infinity
+        left = len(flows)
+        best: list[_t.Any] | None
+        share: float
+        while left:
+            if heap is None:
+                best = None
+                share = _INF
                 for entry in entries:
                     count = entry[1]
-                    if not count:
-                        continue
-                    share = entry[0] / count
-                    if share < best_share:
-                        best_share = share
-                        best_entry = entry
-                if best_entry is None:
-                    break
-                for flow in best_entry[2]:
-                    fid = flow.fid
-                    if fid not in unfrozen:
-                        continue
-                    flow.rate = best_share
-                    unfrozen.discard(fid)
-                    for key in (flow.src, num_nodes + flow.dst):
-                        entry = state[key]
-                        cap = entry[0] - best_share
-                        entry[0] = cap if cap > 0.0 else 0.0
-                        entry[1] -= 1
-                    if has_switch:
-                        entry = state[skey]
-                        cap = entry[0] - best_share
-                        entry[0] = cap if cap > 0.0 else 0.0
-                        entry[1] -= 1
+                    if count:
+                        quotient = entry[0] / count
+                        if quotient < share:
+                            share = quotient
+                            best = entry
+                assert best is not None
+            else:
+                share, _, best = _heappop(heap)
+                count = best[1]
+                if not count or best[0] / count != share:
+                    continue
+            frozen = best[1]
+            best[1] = 0
+            left -= frozen
+            if best is switch:
+                for flow, tx, rx in best[2]:
+                    if flow.rate < 0.0:
+                        flow.rate = share
+                        for seq in (tx, rx):
+                            entry = entries[seq]
+                            cap = entry[0] - share
+                            entry[0] = cap = cap if cap > 0.0 else 0.0
+                            count = entry[1] - 1
+                            entry[1] = count
+                            if heap is not None and count:
+                                _heappush(heap, (cap / count, seq, entry))
+                continue
+            for flow, seq in best[2]:
+                if flow.rate < 0.0:
+                    flow.rate = share
+                    entry = entries[seq]
+                    cap = entry[0] - share
+                    entry[0] = cap = cap if cap > 0.0 else 0.0
+                    count = entry[1] - 1
+                    entry[1] = count
+                    if heap is not None and count:
+                        _heappush(heap, (cap / count, seq, entry))
+            if switch is not None:
+                cap = switch[0]
+                for _ in range(frozen):
+                    cap -= share
+                    cap = cap if cap > 0.0 else 0.0
+                switch[0] = cap
+                count = switch[1] - frozen
+                switch[1] = count
+                if heap is not None and count:
+                    _heappush(heap, (cap / count, switch[3], switch))
 
     def _schedule_wakeup(self, next_dt: float | None = None) -> None:
         """(Re)arm the timer that fires at the next flow completion.
@@ -790,7 +804,7 @@ class Fabric:
         tx_load = self._tx_load
         rx_load = self._rx_load
         num_nodes = self.num_nodes
-        by_resource = None if self._index_stale else self._by_resource
+        by_resource = self._by_resource
         self.stats.flows_completed += len(finished)
         for flow in finished:
             fid = flow.fid
@@ -798,15 +812,8 @@ class Fabric:
             dst = flow.dst
             del flows[fid]
             if by_resource is not None:
-                group = by_resource[src]
-                del group[fid]
-                if not group:
-                    del by_resource[src]
-                key = num_nodes + dst
-                group = by_resource[key]
-                del group[fid]
-                if not group:
-                    del by_resource[key]
+                del by_resource[src][fid]
+                del by_resource[num_nodes + dst][fid]
             tx_load[src] -= 1
             rx_load[dst] -= 1
             if tracer.enabled:

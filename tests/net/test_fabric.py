@@ -74,6 +74,30 @@ class TestBasics:
         assert env.scheduled_events == 0
 
     @pytest.mark.parametrize(
+        "link, switch",
+        [
+            (0.0, None),
+            (float("inf"), None),
+            (float("nan"), None),
+            (100.0, 0.0),
+            (100.0, -5.0),
+            (100.0, float("inf")),
+            (100.0, float("nan")),
+        ],
+    )
+    def test_bad_bandwidth_rejected(self, link, switch):
+        """The waterfill freezes every flow at a finite share only on
+        positive, finite capacities: anything else is a clear error at
+        construction, not a stalled or spinning solve later."""
+        with pytest.raises(SimulationError, match="positive and finite"):
+            Fabric(
+                Environment(),
+                num_nodes=2,
+                link_bandwidth=link,
+                switch_bandwidth=switch,
+            )
+
+    @pytest.mark.parametrize(
         "batch",
         [
             [(1, 1, 5.0), (0, 9, 1.0)],

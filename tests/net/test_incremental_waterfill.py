@@ -170,8 +170,31 @@ def test_small_tables_skip_component_discovery():
     assert fabric.stats.flows_completed == 4
 
 
+def test_small_tables_never_build_the_index():
+    """A run that never leaves the full-solve regime never allocates
+    the NIC index: many small fabrics (one per job in a shared cluster)
+    would otherwise each carry a ``2 * num_nodes`` list they never
+    read."""
+    env = Environment()
+    fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
+
+    def xfer(requests):
+        yield fabric.transfer_many(requests)
+
+    # Contended batches: every admission and most completions solve.
+    for step in range(6):
+        env.process(
+            xfer([(step % 8, (step + k) % 8, 1e3 * (k + 1)) for k in (1, 2, 3)])
+        )
+    env.run()
+    assert fabric.stats.solves_full > 0
+    assert fabric.stats.solves_restricted == 0
+    assert fabric._by_resource is None
+
+
 def test_index_tracks_adds_and_removes():
-    """The resource index must drain back to empty with the flow table."""
+    """The NIC index must drain back to empty dicts with the flow
+    table."""
     env = Environment()
     fabric = Fabric(env, num_nodes=6, link_bandwidth=100.0, latency=0.0)
     # Force restricted solves so the lazily-built index is actually
@@ -185,26 +208,27 @@ def test_index_tracks_adds_and_removes():
         env.process(xfer(index % 6, (index + 1) % 6, 1e3 * (index + 1)))
     env.run()
     assert fabric._flows == {}
-    assert fabric._by_resource == {}
+    assert fabric._by_resource == [{}] * 12
     assert fabric.stats.flows_completed == 12
 
 
 def test_unindex_is_exact():
     """A completing flow leaves its siblings on the shared NIC indexed
-    and drops the resource it held alone."""
+    and empties the NIC it held alone."""
     env = Environment()
     fabric = Fabric(env, num_nodes=4, link_bandwidth=100.0, latency=0.0)
     fabric.incremental_cutoff = 0
     # Flows 0 and 1 share node 0's tx NIC at 50 B/s; flow 0 ends at t=2.
+    # Slots 0-3 are the tx NICs, slots 4-7 the rx NICs.
     fabric.transfer_many([(0, 1, 100.0), (0, 2, 300.0)])
-    assert {key: list(group) for key, group in fabric._by_resource.items()} == {
-        0: [0, 1], 4 + 1: [0], 4 + 2: [1],
-    }
+    assert [list(group) for group in fabric._by_resource] == [
+        [0, 1], [], [], [], [], [0], [1], [],
+    ]
     env.run(until=3.0)
     assert fabric.stats.flows_completed == 1
-    # tx NIC of node 0 still has flow 1; node 1's rx NIC is gone.
-    assert {key: list(group) for key, group in fabric._by_resource.items()} == {
-        0: [1], 4 + 2: [1],
-    }
+    # tx NIC of node 0 still has flow 1; node 1's rx NIC is empty.
+    assert [list(group) for group in fabric._by_resource] == [
+        [1], [], [], [], [], [], [1], [],
+    ]
     env.run()
-    assert fabric._by_resource == {}
+    assert fabric._by_resource == [{}] * 8

@@ -2,20 +2,26 @@
 
 The lazy-invalidation min-heap replacing the per-round linear scan in
 ``Fabric._waterfill`` (engaged above ``waterfill_heap_cutoff`` entries)
-claims *bit-identical* rates.  Every test drives the same schedule
-through both variants — the cutoff is a host-side knob, so forcing
-either path is a one-line override — and requires ``repr``-exact
-completion times.  Both run as :class:`CheckedFabric`, so every arming
-also checks the rates against a fresh full waterfill.
+claims *bit-identical* rates.  Every schedule test drives the same
+schedule through both variants — the cutoff is a host-side knob, so
+forcing either path is a one-line override — and requires
+``repr``-exact completion times.  Both run as :class:`CheckedFabric`,
+so every arming also checks the rates against a fresh full waterfill.
+The table tests solve random flow tables directly and compare both
+paths with :func:`reference_rates`, a per-flow fill that shares no
+code with the fabric's grouped rounds.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import Fabric
+from repro.net.fabric import Flow
 from repro.sim import Environment
-from tests.net.checked_fabric import CheckedFabric
+from tests.net.checked_fabric import CheckedFabric, reference_rates
 
 
 def _run_schedule(
@@ -106,3 +112,57 @@ def test_seeded_heap_above_default_cutoff():
         naive, _ = _run_schedule(60, schedule, heap_cutoff=10**9)
         assert heap == naive, f"seed {seed}"
         assert repr(heap_stats.bytes_transferred) is not None
+
+
+table_strategy = st.tuples(
+    st.integers(min_value=2, max_value=12),  # nodes
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=11),  # src
+            st.integers(min_value=0, max_value=11),  # dst
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    # Awkward capacities make rounding, and the clamp at zero, bite.
+    st.floats(min_value=1e-3, max_value=1e10),  # link bandwidth
+    st.floats(min_value=1e-3, max_value=1e10),  # switch bandwidth
+)
+
+
+def _solve_table(num_nodes, pairs, link, switch, heap_cutoff):
+    """Solve one flow table with ``Fabric._waterfill``; returns the
+    table and its repr'd rates."""
+    fabric = Fabric(
+        Environment(),
+        num_nodes=num_nodes,
+        link_bandwidth=link,
+        switch_bandwidth=switch,
+    )
+    fabric.waterfill_heap_cutoff = heap_cutoff
+    for fid, (src, dst) in enumerate(pairs):
+        src %= num_nodes
+        dst %= num_nodes
+        if src == dst:
+            dst = (dst + 1) % num_nodes
+        fabric._flows[fid] = Flow(fid, src, dst, 1.0, 1.0)
+    fabric._waterfill()
+    flows = list(fabric._flows.values())
+    return flows, [repr(flow.rate) for flow in flows]
+
+
+@pytest.mark.parametrize("heap_cutoff", [0, 10**9], ids=["heap", "scan"])
+@pytest.mark.parametrize("with_switch", [False, True], ids=["nics", "switch"])
+@given(table=table_strategy)
+@settings(max_examples=60, deadline=None)
+def test_waterfill_matches_reference_on_random_tables(
+    heap_cutoff, with_switch, table
+):
+    """Grouped freeze rounds give ``repr``-identical rates to the
+    one-flow-at-a-time fill, on both paths, with and without a
+    switch."""
+    num_nodes, pairs, link, switch = table
+    switch = switch if with_switch else None
+    flows, rates = _solve_table(num_nodes, pairs, link, switch, heap_cutoff)
+    expected = reference_rates(flows, num_nodes, link, switch)
+    assert rates == [repr(rate) for rate in expected]

@@ -88,3 +88,6 @@ def test_fela_1000workers_counts_are_pinned():
     assert stats.solves_full == 32
     assert stats.solves_restricted == 127
     assert cluster.env.scheduled_events == 24376
+    # The network bytes FelaRuntime reports: one left fold of every
+    # settled ``moved`` in table order.
+    assert repr(stats.bytes_transferred) == "239974963775.9807"
