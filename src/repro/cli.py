@@ -36,8 +36,8 @@ Commands map onto the library's public API:
 ``dashboard LEDGER [--out FILE]``
     Render a run ledger (see :mod:`repro.store`) as a plain-text or
     self-contained HTML dashboard: per-run utilization heatmaps,
-    throughput/buffer curves with fault markers, sweep progress, bench
-    trends, and cluster-run Gantt/utilization/JCT sections.
+    throughput/buffer curves with fault markers, sweep progress, and
+    cluster-run Gantt/utilization/JCT sections.
 ``cluster {run,compare} [--trace-kind K --jobs N --seed S --pool P]``
     The multi-tenant cluster service (see :mod:`repro.cluster`): play a
     seeded arrival trace of training jobs onto a shared GPU pool under
@@ -48,8 +48,8 @@ Commands map onto the library's public API:
 
 Observability flags shared by several commands: ``--sample SECONDS``
 attaches the gauge sampler, ``--ledger FILE`` lands runs / sweep
-heartbeats / bench records in a run ledger, and ``--progress`` mirrors
-sweep heartbeats to stderr without changing stdout.
+heartbeats / cluster runs in a SQLite run ledger, and ``--progress``
+mirrors sweep heartbeats to stderr without changing stdout.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--ledger", default=None, metavar="FILE",
-        help="stream per-job sweep heartbeats into this run ledger "
-        "(SQLite, or JSONL when FILE ends in .jsonl)",
+        help="stream per-job sweep heartbeats into this SQLite run "
+        "ledger",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -451,7 +451,6 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
         ctx=ctx,
         repeats=args.repeats,
         warmup=args.warmup,
-        executor=_sweep_executor(args),
     )
     rows = [
         [
@@ -495,13 +494,6 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
     if args.out:
         perf.append_run(args.out, run)
         text += f"\nappended run {run.label!r} to {args.out}"
-
-    if args.ledger:
-        from repro.store import RunLedger
-
-        with RunLedger(args.ledger) as ledger:
-            bench_id = ledger.record_bench_run(run)
-        text += f"\nrecorded bench run {bench_id} in {args.ledger}"
 
     if baseline is not None:
         comparison = perf.compare_runs(
@@ -585,7 +577,6 @@ def _cmd_dashboard(args: argparse.Namespace) -> str:
         return (
             f"wrote dashboard for {len(data['runs'])} runs, "
             f"{len(data['sweeps'])} sweeps, "
-            f"{len(data['bench'])} bench scenarios, "
             f"{len(data['cluster'])} cluster runs to {args.out}"
         )
     return render_text_dashboard(data)
@@ -939,12 +930,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the full-store trend of one scenario and exit "
         "(store: --compare, --out, or BENCH_core.json)",
     )
-    _add_sweep_flags(bench)
 
     dashboard = sub.add_parser(
         "dashboard", help="render run-ledger dashboards (text or HTML)"
     )
-    dashboard.add_argument("ledger", help="run ledger file to render")
+    dashboard.add_argument(
+        "ledger", help="SQLite run ledger file to render"
+    )
     dashboard.add_argument(
         "--out", default=None, metavar="FILE",
         help="write a self-contained HTML dashboard to FILE "

@@ -124,6 +124,14 @@ class FelaConfig:
                 f"conditional subset size {self.conditional_subset_size} "
                 f"outside [0, {self.num_workers}]"
             )
+        n_1 = self.token_counts()[0]
+        if n_1 > self.total_batch:
+            raise ConfigurationError(
+                f"largest weight {max(self.weights)} rounds the level-1 "
+                f"token count up to {n_1}, more than total batch "
+                f"{self.total_batch} (each token needs at least one "
+                "sample)"
+            )
 
     # -- derived quantities ---------------------------------------------------
 

@@ -26,7 +26,6 @@ from repro.exec.codec import (
 from repro.exec.executor import SweepExecutor, resolve_jobs
 from repro.exec.jobs import (
     ArtifactJob,
-    BenchJob,
     JobSpec,
     RunJob,
     TuningCaseJob,
@@ -39,7 +38,6 @@ from repro.exec.jobs import (
 
 __all__ = [
     "ArtifactJob",
-    "BenchJob",
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA",
     "JobSpec",

@@ -32,7 +32,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.config import FelaConfig
     from repro.hardware import ClusterSpec
     from repro.metrics import RunResult
-    from repro.perf.runner import ScenarioMeasurement
     from repro.stragglers import StragglerInjector
 
 
@@ -291,26 +290,4 @@ class ArtifactJob(JobSpec):
         runner = ExperimentRunner(cache=ResultCache(self.cache_dir))
         return generate_artifact(
             self.artifact_id, runner=runner, iterations=self.iterations
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class BenchJob(JobSpec):
-    """Measure one benchmark scenario in a worker process.
-
-    Within-scenario repetitions stay serial inside the worker so the
-    per-repetition determinism tripwire keeps its meaning; only the
-    across-scenario axis fans out.  Never cached: wall-clock timings
-    are the one output that must be re-measured every run.
-    """
-
-    scenario: str
-    repeats: int
-    warmup: int
-
-    def execute(self) -> "ScenarioMeasurement":
-        from repro.perf.runner import measure_scenario
-
-        return measure_scenario(
-            self.scenario, repeats=self.repeats, warmup=self.warmup
         )

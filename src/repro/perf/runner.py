@@ -144,34 +144,12 @@ def run_benchmarks(
     ctx: ScenarioContext | None = None,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
-    executor: _t.Any | None = None,
 ) -> BenchRun:
-    """Measure ``names`` in order and bundle them into one labelled run.
-
-    With a parallel :class:`~repro.exec.SweepExecutor` the *scenarios*
-    fan out across pool workers (one :class:`~repro.exec.BenchJob`
-    each); the repetitions of a single scenario always stay serial
-    inside their worker, so the per-repetition determinism tripwire is
-    untouched.  Parallel timings measure contended workers — use them
-    for smoke coverage, not for pinning speedups.
-    """
+    """Measure ``names`` in order, serially, as one labelled run."""
     if not names:
         raise BenchmarkError("no scenarios selected")
     for name in names:
-        get_scenario(name)  # fail fast before spawning workers
-    if executor is not None and executor.jobs > 1 and len(names) > 1:
-        from repro.exec import BenchJob
-
-        measurements = executor.map(
-            [
-                BenchJob(scenario=name, repeats=repeats, warmup=warmup)
-                for name in names
-            ]
-        )
-        return BenchRun(
-            label=label,
-            records=tuple(m.to_record() for m in measurements),
-        )
+        get_scenario(name)  # fail fast before measuring anything
     ctx = ctx or ScenarioContext()
     records = tuple(
         measure_scenario(name, ctx, repeats=repeats, warmup=warmup)

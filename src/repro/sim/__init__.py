@@ -32,27 +32,18 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Infinity",
     "Interrupt",
     "LATE",
-    "PriorityResource",
     "Process",
     "Resource",
     "Store",

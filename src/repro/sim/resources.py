@@ -1,13 +1,11 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three families are provided, mirroring the classic DES toolkit:
+The two facility types the simulator uses, after the classic DES toolkit:
 
-* :class:`Resource` / :class:`PriorityResource` — a server with limited
-  capacity; processes ``yield resource.request()`` and later ``release()``.
-* :class:`Store` / :class:`FilterStore` — an unbounded-or-bounded buffer of
-  Python objects with ``put`` / ``get`` events.
-* :class:`Container` — a continuous quantity (e.g. bytes of GPU memory) with
-  amount-based ``put`` / ``get``.
+* :class:`Resource` — a server with limited capacity; processes
+  ``yield resource.request()`` and later ``release()`` (a node's GPU).
+* :class:`Store` — an unbounded-or-bounded FIFO buffer of Python objects
+  with ``put`` / ``get`` events (the model-parallel baseline's queues).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 
 class _BaseRequest(Event):
-    """Common machinery for resource/store/container request events."""
+    """Common machinery for resource/store request events."""
 
     def __init__(self, owner: "_BaseFacility") -> None:
         super().__init__(owner.env)
@@ -144,14 +142,6 @@ class Resource(_BaseFacility):
             request.succeed()
 
 
-class PriorityResource(Resource):
-    """A :class:`Resource` whose ``request(priority=…)`` is the main API.
-
-    Functionally identical to :class:`Resource`; exists for expressiveness at
-    call sites that schedule by priority.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Store
 
@@ -173,18 +163,6 @@ class StoreGet(_BaseRequest):
         super().__init__(store)
         store._get_queue.append(self)
         store._trigger_waiters()
-
-
-class FilterStoreGet(StoreGet):
-    """Get event for :class:`FilterStore` with an item predicate."""
-
-    def __init__(
-        self,
-        store: "Store",
-        predicate: _t.Callable[[_t.Any], bool],
-    ) -> None:
-        self.predicate = predicate
-        super().__init__(store)
 
 
 class Store(_BaseFacility):
@@ -229,13 +207,6 @@ class Store(_BaseFacility):
         return False
 
     def _do_get(self, event: StoreGet) -> bool:
-        if isinstance(event, FilterStoreGet):
-            for index, item in enumerate(self.items):
-                if event.predicate(item):
-                    del self.items[index]
-                    event.succeed(item)
-                    return True
-            return False
         if self.items:
             event.succeed(self.items.pop(0))
             return True
@@ -261,109 +232,6 @@ class Store(_BaseFacility):
                     self._get_queue.remove(get_event)
                 elif self._do_get(get_event):
                     self._get_queue.remove(get_event)
-                    progress = True
-                elif not isinstance(get_event, FilterStoreGet):
-                    break
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose ``get`` can select items by predicate."""
-
-    def get(  # type: ignore[override]
-        self, predicate: _t.Callable[[_t.Any], bool] = lambda item: True
-    ) -> FilterStoreGet:
-        return FilterStoreGet(self, predicate)
-
-
-# ---------------------------------------------------------------------------
-# Container
-
-
-class ContainerPut(_BaseRequest):
-    """Put event for :class:`Container`."""
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise SimulationError(f"put amount must be > 0: {amount}")
-        self.amount = amount
-        super().__init__(container)
-        container._put_queue.append(self)
-        container._trigger_waiters()
-
-
-class ContainerGet(_BaseRequest):
-    """Get event for :class:`Container`."""
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise SimulationError(f"get amount must be > 0: {amount}")
-        self.amount = amount
-        super().__init__(container)
-        container._get_queue.append(self)
-        container._trigger_waiters()
-
-
-class Container(_BaseFacility):
-    """A homogeneous, divisible quantity (fuel-tank semantics)."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"container capacity must be > 0: {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(
-                f"initial level {init} outside [0, {capacity}]"
-            )
-        super().__init__(env)
-        self._capacity = capacity
-        self._level = init
-        self._put_queue: list[ContainerPut] = []
-        self._get_queue: list[ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount``; fires when it fits under capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount``; fires when the level covers it."""
-        return ContainerGet(self, amount)
-
-    def _remove_waiter(self, request: _BaseRequest) -> None:
-        if isinstance(request, ContainerPut):
-            self._put_queue = [r for r in self._put_queue if r is not request]
-        else:
-            self._get_queue = [r for r in self._get_queue if r is not request]
-
-    def _trigger_waiters(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for put_event in list(self._put_queue):
-                if self._level + put_event.amount <= self._capacity:
-                    self._level += put_event.amount
-                    self._put_queue.remove(put_event)
-                    put_event.succeed()
-                    progress = True
-                else:
-                    break
-            for get_event in list(self._get_queue):
-                if self._level >= get_event.amount:
-                    self._level -= get_event.amount
-                    self._get_queue.remove(get_event)
-                    get_event.succeed()
                     progress = True
                 else:
                     break

@@ -11,8 +11,7 @@ heatmap from the ``worker.phase`` series, a throughput curve (tokens
 completed per tick), and per-level buffer-depth curves — all annotated
 with fault/join markers taken from the run's ``fault``-category trace
 events.  Plus: sweep progress and cache-hit tables from the heartbeat
-rows, per-scenario bench trend sparklines over every recorded bench
-run, and — per recorded cluster run — a job Gantt
+rows, and — per recorded cluster run — a job Gantt
 (queued/running/resizing), the pool-utilization curve, and a JCT CDF
 table from the ``cluster_runs``/``cluster_jobs`` tables.
 """
@@ -112,13 +111,6 @@ def load_dashboard(ledger: "RunLedger") -> dict[str, _t.Any]:
                 job["elapsed_wall"] for job in finished
             ),
         })
-    bench_runs = ledger.bench_runs()
-    history: dict[str, list[float]] = {}
-    for bench in bench_runs:
-        for record in ledger.bench_records(bench["bench_id"]):
-            history.setdefault(record["scenario"], []).append(
-                record["wall_seconds_median"]
-            )
     cluster = [
         {
             "run": row,
@@ -129,7 +121,6 @@ def load_dashboard(ledger: "RunLedger") -> dict[str, _t.Any]:
     return {
         "runs": runs,
         "sweeps": sweeps,
-        "bench": history,
         "cluster": cluster,
     }
 
@@ -191,13 +182,10 @@ def render_text_dashboard(data: dict[str, _t.Any]) -> str:
         sections.append(_text_run_section(entry))
     if data["sweeps"]:
         sections.append(_text_sweep_section(data["sweeps"]))
-    if data["bench"]:
-        sections.append(_text_bench_section(data["bench"]))
     for entry in data.get("cluster", []):
         sections.append(_text_cluster_section(entry))
     if not sections:
-        return ("(ledger holds no runs, sweeps, bench, or cluster "
-                "records)")
+        return "(ledger holds no runs, sweeps, or cluster records)"
     return "\n\n".join(sections)
 
 
@@ -274,28 +262,6 @@ def _text_sweep_section(sweeps: _t.Sequence[dict]) -> str:
         ["Sweep", "Label", "Progress", "Cache hits", "Busy wall (s)"],
         rows,
         title="== sweeps",
-    )
-
-
-def _text_bench_section(history: dict[str, list[float]]) -> str:
-    rows = []
-    for scenario in sorted(history):
-        walls = history[scenario]
-        ordered = sorted(walls)
-        median = ordered[len(ordered) // 2]
-        rows.append([
-            scenario,
-            len(walls),
-            f"{walls[0]:.4f}",
-            f"{min(walls):.4f}",
-            f"{median:.4f}",
-            f"{walls[-1]:.4f}",
-            sparkline(walls),
-        ])
-    return render_table(
-        ["Scenario", "Runs", "First", "Min", "Median", "Last", "Trend"],
-        rows,
-        title="== bench trends (median wall seconds)",
     )
 
 
@@ -704,10 +670,9 @@ def render_html_dashboard(data: dict[str, _t.Any]) -> str:
         f"<style>{_CSS}</style></head><body>",
         "<h1>fela-repro run ledger dashboard</h1>",
     ]
-    if not (data["runs"] or data["sweeps"] or data["bench"]
-            or data.get("cluster")):
+    if not (data["runs"] or data["sweeps"] or data.get("cluster")):
         parts.append('<p class="note">Ledger holds no runs, sweeps, '
-                     "bench, or cluster records.</p>")
+                     "or cluster records.</p>")
     for entry in data["runs"]:
         parts.append(_html_run_section(entry))
     if data["sweeps"]:
@@ -722,23 +687,6 @@ def render_html_dashboard(data: dict[str, _t.Any]) -> str:
                 entry["cache_hits"],
                 f"{entry['elapsed_wall']:.2f}",
             ] for entry in data["sweeps"]],
-        ))
-    if data["bench"]:
-        parts.append("<h2>Bench trends (median wall seconds)</h2>")
-        rows = []
-        for scenario in sorted(data["bench"]):
-            walls = data["bench"][scenario]
-            ordered = sorted(walls)
-            rows.append([
-                scenario, len(walls), f"{walls[0]:.4f}",
-                f"{min(walls):.4f}",
-                f"{ordered[len(ordered) // 2]:.4f}",
-                f"{walls[-1]:.4f}", sparkline(walls),
-            ])
-        parts.append(_html_table(
-            ["Scenario", "Runs", "First", "Min", "Median", "Last",
-             "Trend"],
-            rows,
         ))
     for entry in data.get("cluster", []):
         parts.append(_html_cluster_section(entry))

@@ -1,4 +1,4 @@
-"""Append-only, schema-versioned run ledger (SQLite or JSONL).
+"""Append-only, schema-versioned run ledger (one SQLite file).
 
 One ledger file accumulates every experiment artifact the repro
 produces:
@@ -11,8 +11,6 @@ samples    sampler tick × gauge (see :mod:`repro.obs.timeseries`) ``--sample``
 events     trace event of a recorded run                         ``--trace-out``
 sweeps     ``SweepExecutor.map`` invocation                      sweep commands
 sweep_jobs per-job heartbeat (started / finished / cache-hit)    ``SweepExecutor``
-bench_runs ``repro bench`` invocation                            ``bench --ledger``
-bench_records per-scenario bench measurement                     ``bench --ledger``
 cluster_runs ``repro cluster`` scheduler run over one trace      ``cluster --ledger``
 cluster_jobs per-job completion record of a cluster run          ``cluster --ledger``
 ========== ==================================================== ========
@@ -20,7 +18,7 @@ cluster_jobs per-job completion record of a cluster run          ``cluster --led
 Design rules:
 
 * **Append-only.**  The API exposes no update or delete; history is the
-  point.  Identifiers (``run_id``, ``sweep_id``, ``bench_id``) are
+  point.  Identifiers (``run_id``, ``sweep_id``, ``cluster_run_id``) are
   assigned sequentially per table, so two identically-scripted sessions
   produce identical rows — the *only* nondeterministic columns are the
   wall-clock timestamps, and every one of those is named ``*_wall`` so
@@ -29,11 +27,10 @@ Design rules:
   :data:`LEDGER_SCHEMA_VERSION`; opening a ledger written by a
   different schema raises :class:`~repro.errors.LedgerError` instead of
   misreading it.
-* **Two backends, one shape.**  SQLite is the default; a path ending in
-  ``.jsonl`` selects a line-per-row JSON backend (same tables, same
-  rows) for environments where a binary file is inconvenient to diff or
-  ship.  Readers always return plain dicts, so the dashboard and the
-  validator are backend-agnostic.
+* **Plain SQLite.**  The file is a stdlib ``sqlite3`` database, one
+  table per row kind; a file that is not one raises
+  :class:`~repro.errors.LedgerError`.  Readers return plain dicts, so
+  the dashboard and the validator never touch SQL.
 """
 
 from __future__ import annotations
@@ -52,13 +49,12 @@ if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.metrics import RunResult
     from repro.obs.events import TraceEvent
     from repro.obs.timeseries import Sample
-    from repro.perf.store import BenchRun
 
 #: Bump on any backwards-incompatible change to the ledger layout.
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 
 #: table -> ordered column tuple.  The first column of ``runs``,
-#: ``sweeps``, and ``bench_runs`` is that table's sequential id.
+#: ``sweeps``, and ``cluster_runs`` is that table's sequential id.
 TABLES: dict[str, tuple[str, ...]] = {
     "runs": (
         "run_id", "created_wall", "command", "kind", "label", "model",
@@ -74,12 +70,6 @@ TABLES: dict[str, tuple[str, ...]] = {
     "sweep_jobs": (
         "sweep_id", "job_index", "job_kind", "status", "cache_hit",
         "elapsed_wall", "created_wall",
-    ),
-    "bench_runs": ("bench_id", "created_wall", "label"),
-    "bench_records": (
-        "bench_id", "scenario", "kind", "wall_seconds_median",
-        "wall_seconds_iqr", "events_per_second",
-        "sim_seconds_per_wall_second", "peak_rss_kb",
     ),
     "cluster_runs": (
         "cluster_run_id", "created_wall", "label", "scheduler",
@@ -104,146 +94,11 @@ WALL_COLUMNS: frozenset[str] = frozenset(
 
 _SWEEP_JOB_STATUSES = ("started", "done", "cached")
 
-#: Tables whose ids are assigned sequentially from their row count.
-_ID_TABLES = {"runs": "run_id", "sweeps": "sweep_id",
-              "bench_runs": "bench_id",
-              "cluster_runs": "cluster_run_id"}
-
 
 def _canonical_json(payload: _t.Any) -> str:
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=repr
     )
-
-
-# -- backends ------------------------------------------------------------------
-
-
-class _SqliteBackend:
-    """SQLite storage; the default for any non-``.jsonl`` path."""
-
-    def __init__(self, path: pathlib.Path) -> None:
-        self._conn = sqlite3.connect(path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, "
-            "value TEXT)"
-        )
-        for table in sorted(TABLES):
-            columns = ", ".join(f'"{col}"' for col in TABLES[table])
-            self._conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {table} ({columns})"
-            )
-        self._conn.commit()
-
-    def get_meta(self, key: str) -> str | None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else str(row[0])
-
-    def set_meta(self, key: str, value: str) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            (key, value),
-        )
-        self._conn.commit()
-
-    def insert(self, table: str, rows: _t.Sequence[dict]) -> None:
-        columns = TABLES[table]
-        placeholders = ", ".join("?" for _ in columns)
-        self._conn.executemany(
-            f"INSERT INTO {table} VALUES ({placeholders})",
-            [tuple(row[col] for col in columns) for row in rows],
-        )
-        self._conn.commit()
-
-    def rows(self, table: str) -> list[dict]:
-        columns = TABLES[table]
-        names = ", ".join(f'"{col}"' for col in columns)
-        fetched = self._conn.execute(
-            f"SELECT {names} FROM {table} ORDER BY rowid"
-        ).fetchall()
-        return [dict(zip(columns, row)) for row in fetched]
-
-    def count(self, table: str) -> int:
-        row = self._conn.execute(
-            f"SELECT COUNT(*) FROM {table}"
-        ).fetchone()
-        return int(row[0])
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-class _JsonlBackend:
-    """Line-per-row JSON storage: ``{"table": ..., <columns>}``.
-
-    The whole file is parsed at open (ledgers are append logs, not big
-    data); writes append lines.  Meta rows use the pseudo-table
-    ``meta``.
-    """
-
-    def __init__(self, path: pathlib.Path) -> None:
-        self._path = path
-        self._tables: dict[str, list[dict]] = {
-            table: [] for table in TABLES
-        }
-        self._meta: dict[str, str] = {}
-        if path.exists():
-            self._load()
-        else:
-            path.touch()
-
-    def _load(self) -> None:
-        for number, line in enumerate(
-            self._path.read_text().splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LedgerError(
-                    f"malformed ledger line {number} in {self._path}: "
-                    f"{exc}"
-                ) from None
-            table = payload.pop("table", None)
-            if table == "meta":
-                self._meta[str(payload["key"])] = str(payload["value"])
-            elif table in self._tables:
-                self._tables[table].append(payload)
-            else:
-                raise LedgerError(
-                    f"ledger line {number} in {self._path} names "
-                    f"unknown table {table!r}"
-                )
-
-    def _append_line(self, payload: dict) -> None:
-        with self._path.open("a") as handle:
-            handle.write(_canonical_json(payload) + "\n")
-
-    def get_meta(self, key: str) -> str | None:
-        return self._meta.get(key)
-
-    def set_meta(self, key: str, value: str) -> None:
-        self._meta[key] = value
-        self._append_line({"table": "meta", "key": key, "value": value})
-
-    def insert(self, table: str, rows: _t.Sequence[dict]) -> None:
-        columns = TABLES[table]
-        for row in rows:
-            ordered = {col: row[col] for col in columns}
-            self._tables[table].append(ordered)
-            self._append_line({"table": table, **ordered})
-
-    def rows(self, table: str) -> list[dict]:
-        return [dict(row) for row in self._tables[table]]
-
-    def count(self, table: str) -> int:
-        return len(self._tables[table])
-
-    def close(self) -> None:
-        pass
 
 
 # -- the ledger ----------------------------------------------------------------
@@ -254,23 +109,69 @@ class RunLedger:
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        if self.path.suffix == ".jsonl":
-            self._backend: _t.Any = _JsonlBackend(self.path)
-        else:
-            self._backend = _SqliteBackend(self.path)
-        stored = self._backend.get_meta("schema")
-        if stored is None:
-            self._backend.set_meta("schema", str(LEDGER_SCHEMA_VERSION))
-        elif stored != str(LEDGER_SCHEMA_VERSION):
+        self._conn = sqlite3.connect(self.path)
+        try:
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, "
+                "value TEXT)"
+            )
+            row = self._conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema'"
+            ).fetchone()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
             raise LedgerError(
-                f"ledger {self.path} has schema {stored}; this tool "
+                f"cannot open run ledger {self.path}: {exc}"
+            ) from None
+        if row is None:
+            self._conn.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema', ?)",
+                (str(LEDGER_SCHEMA_VERSION),),
+            )
+        elif str(row[0]) != str(LEDGER_SCHEMA_VERSION):
+            self._conn.close()
+            raise LedgerError(
+                f"ledger {self.path} has schema {row[0]}; this tool "
                 f"reads schema {LEDGER_SCHEMA_VERSION}"
             )
+        # Tables are created only once the schema is known to match, so
+        # opening a foreign ledger leaves its layout untouched.
+        for table in sorted(TABLES):
+            columns = ", ".join(f'"{col}"' for col in TABLES[table])
+            self._conn.execute(
+                f"CREATE TABLE IF NOT EXISTS {table} ({columns})"
+            )
+        self._conn.commit()
+
+    # -- storage -------------------------------------------------------------
+
+    def _insert(self, table: str, rows: _t.Sequence[dict]) -> None:
+        columns = TABLES[table]
+        placeholders = ", ".join("?" for _ in columns)
+        self._conn.executemany(
+            f"INSERT INTO {table} VALUES ({placeholders})",
+            [tuple(row[col] for col in columns) for row in rows],
+        )
+        self._conn.commit()
+
+    def _rows(self, table: str) -> list[dict]:
+        columns = TABLES[table]
+        names = ", ".join(f'"{col}"' for col in columns)
+        fetched = self._conn.execute(
+            f"SELECT {names} FROM {table} ORDER BY rowid"
+        ).fetchall()
+        return [dict(zip(columns, row)) for row in fetched]
+
+    def _count(self, table: str) -> int:
+        row = self._conn.execute(
+            f"SELECT COUNT(*) FROM {table}"
+        ).fetchone()
+        return int(row[0])
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._backend.close()
+        self._conn.close()
 
     def __enter__(self) -> "RunLedger":
         return self
@@ -294,8 +195,8 @@ class RunLedger:
         events: _t.Sequence["TraceEvent"] = (),
     ) -> int:
         """Land one completed run (+ its series and events); returns its id."""
-        run_id = self._backend.count("runs")
-        self._backend.insert("runs", [{
+        run_id = self._count("runs")
+        self._insert("runs", [{
             "run_id": run_id,
             "created_wall": time.time(),
             "command": command,
@@ -314,7 +215,7 @@ class RunLedger:
             "stats": _canonical_json(result.stats),
         }])
         if samples:
-            self._backend.insert("samples", [{
+            self._insert("samples", [{
                 "run_id": run_id,
                 "time": sample.time,
                 "series": sample.series,
@@ -322,7 +223,7 @@ class RunLedger:
                 "value": sample.value,
             } for sample in samples])
         if events:
-            self._backend.insert("events", [{
+            self._insert("events", [{
                 "run_id": run_id,
                 "seq": event.seq,
                 "name": event.name,
@@ -336,8 +237,8 @@ class RunLedger:
 
     def start_sweep(self, *, label: str, total_jobs: int) -> int:
         """Open a sweep heartbeat group; returns its id."""
-        sweep_id = self._backend.count("sweeps")
-        self._backend.insert("sweeps", [{
+        sweep_id = self._count("sweeps")
+        self._insert("sweeps", [{
             "sweep_id": sweep_id,
             "created_wall": time.time(),
             "label": label,
@@ -361,7 +262,7 @@ class RunLedger:
                 f"unknown sweep-job status {status!r}; expected one of "
                 f"{_SWEEP_JOB_STATUSES}"
             )
-        self._backend.insert("sweep_jobs", [{
+        self._insert("sweep_jobs", [{
             "sweep_id": sweep_id,
             "job_index": index,
             "job_kind": kind,
@@ -370,27 +271,6 @@ class RunLedger:
             "elapsed_wall": elapsed_wall,
             "created_wall": time.time(),
         }])
-
-    def record_bench_run(self, run: "BenchRun") -> int:
-        """Land one ``repro bench`` invocation's records; returns its id."""
-        bench_id = self._backend.count("bench_runs")
-        self._backend.insert("bench_runs", [{
-            "bench_id": bench_id,
-            "created_wall": time.time(),
-            "label": run.label,
-        }])
-        self._backend.insert("bench_records", [{
-            "bench_id": bench_id,
-            "scenario": record.name,
-            "kind": record.kind,
-            "wall_seconds_median": record.wall_seconds_median,
-            "wall_seconds_iqr": record.wall_seconds_iqr,
-            "events_per_second": record.events_per_second,
-            "sim_seconds_per_wall_second":
-                record.sim_seconds_per_wall_second,
-            "peak_rss_kb": record.peak_rss_kb,
-        } for record in run.records])
-        return bench_id
 
     def record_cluster_run(
         self,
@@ -404,7 +284,7 @@ class RunLedger:
         ``trace`` is a free-form description of the arrival trace (kind,
         size, seed) so two runs over the same stream are groupable.
         """
-        cluster_run_id = self._backend.count("cluster_runs")
+        cluster_run_id = self._count("cluster_runs")
         row: dict[str, _t.Any] = {
             "cluster_run_id": cluster_run_id,
             "created_wall": time.time(),
@@ -412,8 +292,8 @@ class RunLedger:
             "trace": trace,
         }
         row.update(result.summary_row())
-        self._backend.insert("cluster_runs", [row])
-        self._backend.insert("cluster_jobs", [
+        self._insert("cluster_runs", [row])
+        self._insert("cluster_jobs", [
             {"cluster_run_id": cluster_run_id, **job}
             for job in result.jobs
         ])
@@ -422,20 +302,20 @@ class RunLedger:
     # -- readers -------------------------------------------------------------
 
     def runs(self) -> list[dict]:
-        rows = self._backend.rows("runs")
+        rows = self._rows("runs")
         for row in rows:
             row["config"] = json.loads(row["config"])
             row["stats"] = json.loads(row["stats"])
         return rows
 
     def samples(self, run_id: int | None = None) -> list[dict]:
-        rows = self._backend.rows("samples")
+        rows = self._rows("samples")
         if run_id is None:
             return rows
         return [row for row in rows if row["run_id"] == run_id]
 
     def events(self, run_id: int | None = None) -> list[dict]:
-        rows = self._backend.rows("events")
+        rows = self._rows("events")
         for row in rows:
             row["args"] = json.loads(row["args"])
         if run_id is None:
@@ -443,25 +323,16 @@ class RunLedger:
         return [row for row in rows if row["run_id"] == run_id]
 
     def sweeps(self) -> list[dict]:
-        return self._backend.rows("sweeps")
+        return self._rows("sweeps")
 
     def sweep_jobs(self, sweep_id: int | None = None) -> list[dict]:
-        rows = self._backend.rows("sweep_jobs")
+        rows = self._rows("sweep_jobs")
         if sweep_id is None:
             return rows
         return [row for row in rows if row["sweep_id"] == sweep_id]
 
-    def bench_runs(self) -> list[dict]:
-        return self._backend.rows("bench_runs")
-
-    def bench_records(self, bench_id: int | None = None) -> list[dict]:
-        rows = self._backend.rows("bench_records")
-        if bench_id is None:
-            return rows
-        return [row for row in rows if row["bench_id"] == bench_id]
-
     def cluster_runs(self) -> list[dict]:
-        rows = self._backend.rows("cluster_runs")
+        rows = self._rows("cluster_runs")
         for row in rows:
             row["pool_timeline"] = json.loads(row["pool_timeline"])
         return rows
@@ -469,7 +340,7 @@ class RunLedger:
     def cluster_jobs(
         self, cluster_run_id: int | None = None
     ) -> list[dict]:
-        rows = self._backend.rows("cluster_jobs")
+        rows = self._rows("cluster_jobs")
         for row in rows:
             row["resizes"] = json.loads(row["resizes"])
             row["faults"] = (
@@ -515,7 +386,7 @@ class RunLedger:
                 )
         run_ids = {row["run_id"] for row in runs}
         phase_codes = {float(code) for code in PHASE_CODES.values()}
-        for row in self._backend.rows("samples"):
+        for row in self._rows("samples"):
             if row["run_id"] not in run_ids:
                 problems.append(
                     f"samples: row references unknown run "
@@ -540,7 +411,7 @@ class RunLedger:
                     f"samples: negative time {row['time']} in run "
                     f"{row['run_id']}"
                 )
-        for row in self._backend.rows("events"):
+        for row in self._rows("events"):
             if row["run_id"] not in run_ids:
                 problems.append(
                     f"events: row references unknown run {row['run_id']}"
@@ -559,7 +430,7 @@ class RunLedger:
                     f"sequential)"
                 )
         totals = {row["sweep_id"]: row["total_jobs"] for row in sweeps}
-        for row in self._backend.rows("sweep_jobs"):
+        for row in self._rows("sweep_jobs"):
             total = totals.get(row["sweep_id"])
             if total is None:
                 problems.append(
@@ -577,26 +448,6 @@ class RunLedger:
                     f"sweep_jobs: job index {row['job_index']} out of "
                     f"range for sweep {row['sweep_id']} "
                     f"({total} jobs)"
-                )
-        bench_ids = set()
-        for position, row in enumerate(self.bench_runs()):
-            bench_ids.add(row["bench_id"])
-            if row["bench_id"] != position:
-                problems.append(
-                    f"bench_runs: row {position} has bench_id "
-                    f"{row['bench_id']} (ids must be dense and "
-                    f"sequential)"
-                )
-        for row in self._backend.rows("bench_records"):
-            if row["bench_id"] not in bench_ids:
-                problems.append(
-                    f"bench_records: row references unknown bench run "
-                    f"{row['bench_id']}"
-                )
-            if row["wall_seconds_median"] < 0:
-                problems.append(
-                    f"bench_records: negative median wall for "
-                    f"{row['scenario']!r}"
                 )
         from repro.cluster.schedulers import SCHEDULER_NAMES
 

@@ -1,11 +1,12 @@
 """Ledger validation CLI: ``python -m repro.store.validate LEDGER...``.
 
-Opens each ledger (SQLite or ``.jsonl``), checks its schema version,
-and runs :meth:`repro.store.ledger.RunLedger.validate` — dense
-sequential ids, referential integrity of samples/events/sweep-jobs/
-bench-records/cluster-jobs, known sample series and worker phase codes,
-known sweep statuses and cluster schedulers.  CI runs this on the ledger a dashboard artifact was rendered
-from.  Exit code 0 means every file passed.
+Opens each SQLite ledger, checks its schema version, and runs
+:meth:`repro.store.ledger.RunLedger.validate` — dense sequential ids,
+referential integrity of samples/events/sweep-jobs/cluster-jobs, known
+sample series and worker phase codes, known sweep statuses and cluster
+schedulers.  A file that is not a ledger of this schema is reported as
+``cannot load``.  CI runs this on the ledger a dashboard artifact was
+rendered from.  Exit code 0 means every file passed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def validate_file(path: str) -> list[str]:
 def main(argv: _t.Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store.validate",
-        description="validate run-ledger files (SQLite or JSONL)",
+        description="validate SQLite run-ledger files",
     )
     parser.add_argument("paths", nargs="+", help="ledger files")
     args = parser.parse_args(argv)
@@ -48,7 +49,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                 counts = (
                     f"{len(ledger.runs())} runs, "
                     f"{len(ledger.sweeps())} sweeps, "
-                    f"{len(ledger.bench_runs())} bench runs, "
                     f"{len(ledger.cluster_runs())} cluster runs"
                 )
             print(f"{path}: OK ({counts})")

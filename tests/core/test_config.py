@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import FelaConfig, SyncMode
 from repro.errors import ConfigurationError
+from repro.models import get_model
+from repro.partition import bin_partition
 
 
 def make_config(vgg19_partition, **kwargs):
@@ -54,6 +56,33 @@ class TestValidation:
     def test_subset_size_bounds(self, vgg19_partition):
         with pytest.raises(ConfigurationError):
             make_config(vgg19_partition, conditional_subset_size=9)
+
+    def test_rounded_token_count_above_batch_rejected(
+        self, vgg19_partition
+    ):
+        # n_1 = max(12 // threshold, 8 workers) rounds up to w_max = 16
+        # level-1 tokens, but 12 samples cannot fill 16 tokens.
+        with pytest.raises(
+            ConfigurationError, match="up to 16, more than total batch 12"
+        ):
+            make_config(
+                vgg19_partition, total_batch=12, weights=(1, 16, 16)
+            )
+
+    def test_huge_weight_rejected_at_construction(self, profiler):
+        # Rejected before any runtime tries to build a 2**70-sample
+        # owner table for the rounded level-1 token count.
+        partition = bin_partition(get_model("resnet152"), profiler)
+        weights = (1,) + (2**70,) * (len(partition) - 1)
+        with pytest.raises(
+            ConfigurationError, match=f"up to {2**70}, more than total"
+        ):
+            FelaConfig(
+                partition=partition,
+                total_batch=128,
+                num_workers=8,
+                weights=weights,
+            )
 
 
 class TestTokenArithmetic:

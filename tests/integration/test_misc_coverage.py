@@ -1,37 +1,9 @@
 """Cross-cutting coverage: smaller behaviours not owned by one module."""
 
-import pytest
-
 from repro.core import FelaConfig, FelaRuntime
 from repro.hardware import Cluster, ClusterSpec
-from repro.models import build_pagerank, get_model
+from repro.models import build_pagerank
 from repro.partition import partition_by_counts
-from repro.sim import Environment, PriorityResource
-
-
-class TestPriorityResource:
-    def test_behaves_like_resource_with_priorities(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(5)
-
-        def user(env, name, priority):
-            yield env.timeout(1)
-            with res.request(priority=priority) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(1)
-
-        env.process(holder(env))
-        env.process(user(env, "bg", 10.0))
-        env.process(user(env, "fg", 0.0))
-        env.run()
-        assert order == ["fg", "bg"]
 
 
 class TestPageRankUnderFela:

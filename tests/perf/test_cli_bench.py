@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.perf import SCHEMA_VERSION
 
 
@@ -199,3 +199,34 @@ class TestBaselineLabel:
         )
         err = capsys.readouterr().err
         assert "--compare" in err
+
+
+class TestSweepFlags:
+    """Bench timings are serial and land only in the JSON store, so the
+    sweep flags belong to the sweep commands and not to ``bench``."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--jobs=2", "--ledger=ledger.sqlite", "--progress", "--no-cache",
+         "--cache-dir=cache"],
+    )
+    def test_bench_rejects_sweep_flags(
+        self, flag, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *FAST_ARGS, flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["compare", "vgg19"], ["tune", "vgg19"], ["figures"]]
+    )
+    def test_sweep_commands_keep_sweep_flags(self, command):
+        args = build_parser().parse_args([
+            *command, "--jobs", "2", "--ledger", "ledger.sqlite",
+            "--progress",
+        ])
+        assert (args.jobs, args.ledger, args.progress) == (
+            2, "ledger.sqlite", True
+        )

@@ -10,8 +10,29 @@ from repro.perf import (
     save_store,
     scenario_history,
 )
+from repro.perf.store import BenchRun, ScenarioRecord
 
-from tests.store.test_ledger import _bench_run
+
+def _bench_run(label="bench"):
+    return BenchRun(
+        label=label,
+        records=(
+            ScenarioRecord(
+                name="micro.example",
+                kind="micro",
+                repeats=3,
+                warmup=1,
+                wall_seconds=(0.1, 0.2, 0.3),
+                wall_seconds_median=0.2,
+                wall_seconds_iqr=0.1,
+                simulated_seconds=5.0,
+                events=100,
+                sim_seconds_per_wall_second=25.0,
+                events_per_second=500.0,
+                peak_rss_kb=1024.0,
+            ),
+        ),
+    )
 
 
 def _record(run, median):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, FilterStore, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 class TestResource:
@@ -182,104 +182,3 @@ class TestStore:
         env = Environment()
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
-
-
-class TestFilterStore:
-    def test_get_by_predicate(self):
-        env = Environment()
-        store = FilterStore(env)
-        for item in (1, 2, 3, 4):
-            store.put(item)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get(lambda x: x % 2 == 0)))
-            got.append((yield store.get(lambda x: x % 2 == 0)))
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [2, 4, 1]
-
-    def test_blocks_until_matching_item(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get(lambda x: x == "wanted")))
-            got.append(env.now)
-
-        def producer(env):
-            yield store.put("other")
-            yield env.timeout(3)
-            yield store.put("wanted")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == ["wanted", 3]
-
-
-class TestContainer:
-    def test_level_tracking(self):
-        env = Environment()
-        tank = Container(env, capacity=100, init=50)
-
-        def proc(env):
-            yield tank.get(20)
-            assert tank.level == 30
-            yield tank.put(40)
-            assert tank.level == 70
-
-        env.process(proc(env))
-        env.run()
-
-    def test_get_blocks_until_level(self):
-        env = Environment()
-        tank = Container(env, capacity=100, init=0)
-        times = []
-
-        def consumer(env):
-            yield tank.get(30)
-            times.append(env.now)
-
-        def producer(env):
-            for _ in range(3):
-                yield env.timeout(1)
-                yield tank.put(10)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert times == [3]
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        tank = Container(env, capacity=10, init=10)
-        times = []
-
-        def producer(env):
-            yield tank.put(5)
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(2)
-            yield tank.get(5)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [2]
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            Container(env, capacity=0)
-        with pytest.raises(SimulationError):
-            Container(env, capacity=10, init=20)
-        tank = Container(env, capacity=10)
-        with pytest.raises(SimulationError):
-            tank.put(0)
-        with pytest.raises(SimulationError):
-            tank.get(-1)

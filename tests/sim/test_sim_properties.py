@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -106,23 +106,3 @@ def test_store_preserves_fifo_order(items):
     env.process(consumer(env))
     env.run()
     assert received == items
-
-
-@given(
-    puts=st.lists(
-        st.floats(min_value=0.1, max_value=100), min_size=1, max_size=30
-    )
-)
-@settings(max_examples=50)
-def test_container_conserves_quantity(puts):
-    """Total put == final level when nothing is taken out."""
-    env = Environment()
-    tank = Container(env, capacity=sum(puts) + 1)
-
-    def producer(env):
-        for amount in puts:
-            yield tank.put(amount)
-
-    env.process(producer(env))
-    env.run()
-    assert abs(tank.level - sum(puts)) < 1e-9

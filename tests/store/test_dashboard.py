@@ -16,13 +16,13 @@ from repro.store import (
 )
 from repro.store.dashboard import sparkline
 
-from tests.store.test_ledger import _bench_run
+from tests.store.test_ledger import _insert
 
 
 @pytest.fixture()
 def populated(tmp_path, vgg19_partition):
-    """A ledger holding one faulted+sampled+traced run, sweep, bench,
-    and one cluster scheduler run."""
+    """A ledger holding one faulted+sampled+traced run, one sweep, and
+    one cluster scheduler run."""
     path = tmp_path / "ledger.sqlite"
     sampler = Sampler(0.5)
     tracer = Tracer()
@@ -64,8 +64,6 @@ def populated(tmp_path, vgg19_partition):
             sweep_id, index=1, kind="RunJob", status="done",
             elapsed_wall=0.5,
         )
-        ledger.record_bench_run(_bench_run("first"))
-        ledger.record_bench_run(_bench_run("second"))
         from repro.cluster import (
             ClusterSimulator,
             TraceSpec,
@@ -96,7 +94,7 @@ class TestSparkline:
 
 
 class TestLoadDashboard:
-    def test_model_holds_runs_sweeps_and_bench(self, populated):
+    def test_model_holds_runs_sweeps_and_cluster_runs(self, populated):
         with RunLedger(populated) as ledger:
             data = load_dashboard(ledger)
         assert len(data["runs"]) == 1
@@ -111,7 +109,6 @@ class TestLoadDashboard:
         sweep = data["sweeps"][0]
         assert sweep["completed"] == 2  # one cached + one done
         assert sweep["cache_hits"] == 1
-        assert data["bench"]["micro.example"] == [0.2, 0.2]
         cluster = data["cluster"][0]
         assert cluster["run"]["scheduler"] == "fair"
         assert len(cluster["jobs"]) == 4
@@ -136,9 +133,8 @@ class TestTextDashboard:
         assert "worker.failed" in text
         assert "throughput" in text
         assert "buffer depth" in text
-        # Sweep and bench sections.
+        # Sweep section.
         assert "tune" in text
-        assert "micro.example" in text
         # Cluster section: summary, Gantt, utilization, JCT CDF.
         assert "cluster run 0 [smoke]: fair" in text
         assert "job schedule" in text
@@ -204,6 +200,12 @@ class TestDashboardCli:
         assert main(["dashboard", str(tmp_path / "nope.sqlite")]) == 2
         assert "no run ledger" in capsys.readouterr().err
 
+    def test_non_database_file_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sqlite"
+        bad.write_text("not a database\n")
+        assert main(["dashboard", str(bad)]) == 2
+        assert f"cannot open run ledger {bad}" in capsys.readouterr().err
+
 
 class TestValidatorCli:
     def test_ok_and_invalid_exit_codes(self, populated, tmp_path, capsys):
@@ -211,12 +213,21 @@ class TestValidatorCli:
 
         assert validate_main([str(populated)]) == 0
         assert "OK" in capsys.readouterr().out
-        bad = tmp_path / "bad.jsonl"
+        bad = tmp_path / "bad.sqlite"
         RunLedger(bad).close()
-        with bad.open("a") as handle:
-            handle.write(
-                '{"table": "samples", "run_id": 9, "time": 0.0, '
-                '"series": "nope", "key": "", "value": 0.0}\n'
-            )
+        _insert(bad, "samples", {
+            "run_id": 9, "time": 0.0, "series": "nope", "key": "",
+            "value": 0.0,
+        })
         assert validate_main([str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
+
+    def test_non_database_file_cannot_load(self, tmp_path, capsys):
+        from repro.store.validate import main as validate_main
+
+        bad = tmp_path / "bad.sqlite"
+        bad.write_text("not a database\n")
+        assert validate_main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out
+        assert f"cannot load {bad}" in out

@@ -1,6 +1,6 @@
-"""Run ledger: both backends, append-only history, determinism, checks."""
+"""Run ledger: append-only history, schema pin, determinism, checks."""
 
-import json
+import sqlite3
 
 import pytest
 
@@ -9,15 +9,12 @@ from repro.errors import LedgerError
 from repro.faults import FaultController, parse_faults
 from repro.hardware import Cluster, ClusterSpec
 from repro.obs import Sampler, Tracer
-from repro.perf.store import BenchRun, ScenarioRecord
 from repro.store import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     run_row_from_result,
 )
 from repro.store.ledger import TABLES, WALL_COLUMNS
-
-BACKENDS = ("ledger.sqlite", "ledger.jsonl")
 
 
 def _run(partition, *, sampler=None, tracer=None, faults=None):
@@ -38,37 +35,27 @@ def _run(partition, *, sampler=None, tracer=None, faults=None):
     ).run()
 
 
-def _bench_run(label="bench"):
-    return BenchRun(
-        label=label,
-        records=(
-            ScenarioRecord(
-                name="micro.example",
-                kind="micro",
-                repeats=3,
-                warmup=1,
-                wall_seconds=(0.1, 0.2, 0.3),
-                wall_seconds_median=0.2,
-                wall_seconds_iqr=0.1,
-                simulated_seconds=5.0,
-                events=100,
-                sim_seconds_per_wall_second=25.0,
-                events_per_second=500.0,
-                peak_rss_kb=1024.0,
-            ),
-        ),
-    )
+def _insert(path, table, row):
+    """Append one raw row behind the ledger API's back."""
+    columns = ", ".join(f'"{column}"' for column in row)
+    marks = ", ".join("?" for _ in row)
+    with sqlite3.connect(path) as conn:
+        conn.execute(
+            f"INSERT INTO {table} ({columns}) VALUES ({marks})",
+            tuple(row.values()),
+        )
+    conn.close()
 
 
-@pytest.mark.parametrize("filename", BACKENDS)
 class TestRoundTrip:
     def test_run_with_samples_and_events_round_trips(
-        self, tmp_path, filename, vgg19_partition
+        self, tmp_path, vgg19_partition
     ):
+        path = tmp_path / "ledger.sqlite"
         sampler = Sampler(0.5)
         tracer = Tracer()
         result = _run(vgg19_partition, sampler=sampler, tracer=tracer)
-        with RunLedger(tmp_path / filename) as ledger:
+        with RunLedger(path) as ledger:
             run_id = ledger.record_run(
                 command="run",
                 kind="fela",
@@ -78,7 +65,7 @@ class TestRoundTrip:
                 samples=sampler.samples,
                 events=tracer.events,
             )
-        with RunLedger(tmp_path / filename) as ledger:
+        with RunLedger(path) as ledger:
             rows = ledger.runs()
             assert len(rows) == 1
             row = rows[0]
@@ -97,8 +84,9 @@ class TestRoundTrip:
             assert events[0]["args"] == dict(tracer.events[0].args)
             assert ledger.validate() == []
 
-    def test_sweep_and_bench_round_trip(self, tmp_path, filename):
-        with RunLedger(tmp_path / filename) as ledger:
+    def test_sweep_round_trip(self, tmp_path):
+        path = tmp_path / "ledger.sqlite"
+        with RunLedger(path) as ledger:
             sweep_id = ledger.start_sweep(label="tune", total_jobs=2)
             ledger.record_sweep_job(
                 sweep_id, index=0, kind="RunJob", status="cached",
@@ -111,28 +99,26 @@ class TestRoundTrip:
                 sweep_id, index=1, kind="RunJob", status="done",
                 elapsed_wall=0.25,
             )
-            bench_id = ledger.record_bench_run(_bench_run())
-        with RunLedger(tmp_path / filename) as ledger:
+        with RunLedger(path) as ledger:
             assert ledger.sweeps()[0]["total_jobs"] == 2
             jobs = ledger.sweep_jobs(sweep_id)
             assert [job["status"] for job in jobs] == [
                 "cached", "started", "done"
             ]
             assert jobs[0]["cache_hit"] == 1
-            records = ledger.bench_records(bench_id)
-            assert records[0]["scenario"] == "micro.example"
+            assert jobs[2]["elapsed_wall"] == 0.25
             assert ledger.validate() == []
 
-    def test_ids_are_sequential_across_reopens(self, tmp_path, filename):
-        path = tmp_path / filename
+    def test_ids_are_sequential_across_reopens(self, tmp_path):
+        path = tmp_path / "ledger.sqlite"
         with RunLedger(path) as ledger:
             assert ledger.start_sweep(label="a", total_jobs=1) == 0
         with RunLedger(path) as ledger:
             assert ledger.start_sweep(label="b", total_jobs=1) == 1
             assert [row["label"] for row in ledger.sweeps()] == ["a", "b"]
 
-    def test_unknown_sweep_status_is_rejected(self, tmp_path, filename):
-        with RunLedger(tmp_path / filename) as ledger:
+    def test_unknown_sweep_status_is_rejected(self, tmp_path):
+        with RunLedger(tmp_path / "ledger.sqlite") as ledger:
             sweep_id = ledger.start_sweep(label="s", total_jobs=1)
             with pytest.raises(LedgerError, match="status"):
                 ledger.record_sweep_job(
@@ -140,35 +126,52 @@ class TestRoundTrip:
                 )
 
 
+def _schema_of(path):
+    with sqlite3.connect(path) as conn:
+        rows = conn.execute("SELECT key, value FROM meta").fetchall()
+    conn.close()
+    return rows
+
+
+def _set_schema(path, value):
+    with sqlite3.connect(path) as conn:
+        conn.execute("UPDATE meta SET value = ? WHERE key = 'schema'",
+                     (value,))
+    conn.close()
+
+
 class TestSchema:
     def test_schema_version_is_pinned_at_creation(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
+        path = tmp_path / "ledger.sqlite"
         RunLedger(path).close()
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first == {
-            "table": "meta",
-            "key": "schema",
-            "value": str(LEDGER_SCHEMA_VERSION),
-        }
+        assert _schema_of(path) == [
+            ("schema", str(LEDGER_SCHEMA_VERSION))
+        ]
 
     def test_schema_mismatch_raises(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        path.write_text(
-            '{"table": "meta", "key": "schema", "value": "999"}\n'
-        )
+        path = tmp_path / "ledger.sqlite"
+        RunLedger(path).close()
+        _set_schema(path, "999")
         with pytest.raises(LedgerError, match="schema 999"):
             RunLedger(path)
 
-    def test_malformed_jsonl_line_raises(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(LedgerError, match="line 1"):
+    def test_schema_one_ledger_raises(self, tmp_path):
+        # Schema 1 still carried the bench tables; schema 2 dropped
+        # them, so an old ledger is refused rather than half-read.
+        path = tmp_path / "ledger.sqlite"
+        RunLedger(path).close()
+        _set_schema(path, "1")
+        with pytest.raises(LedgerError, match="has schema 1"):
             RunLedger(path)
 
-    def test_unknown_table_raises(self, tmp_path):
+    def test_non_database_file_raises(self, tmp_path):
+        # A line-per-row JSON ledger (or any other non-SQLite file) is
+        # refused with the path named, not a raw sqlite3 traceback.
         path = tmp_path / "ledger.jsonl"
-        path.write_text('{"table": "nope", "x": 1}\n')
-        with pytest.raises(LedgerError, match="unknown table"):
+        path.write_text(
+            '{"table": "meta", "key": "schema", "value": "1"}\n'
+        )
+        with pytest.raises(LedgerError, match="ledger.jsonl"):
             RunLedger(path)
 
     def test_wall_columns_are_the_only_timestamps(self):
@@ -184,7 +187,7 @@ class TestDeterminism:
     def test_rows_identical_modulo_wall_columns(
         self, tmp_path, vgg19_partition
     ):
-        paths = (tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+        paths = (tmp_path / "a.sqlite", tmp_path / "b.sqlite")
         for path in paths:
             sampler = Sampler(0.5)
             faults = FaultController(parse_faults("crash:0@1.0"))
@@ -206,46 +209,51 @@ class TestDeterminism:
                 )
 
         def masked(path):
-            rows = []
-            for line in path.read_text().splitlines():
-                payload = json.loads(line)
-                for column in WALL_COLUMNS:
-                    payload.pop(column, None)
-                rows.append(payload)
-            return rows
+            dump = {}
+            with sqlite3.connect(path) as conn:
+                for table, columns in TABLES.items():
+                    kept = ", ".join(
+                        f'"{column}"' for column in columns
+                        if column not in WALL_COLUMNS
+                    )
+                    dump[table] = conn.execute(
+                        f"SELECT {kept} FROM {table} ORDER BY rowid"
+                    ).fetchall()
+            conn.close()
+            return dump
 
-        assert masked(paths[0]) == masked(paths[1])
+        first, second = masked(paths[0]), masked(paths[1])
+        assert first["runs"] and first["samples"] and first["sweep_jobs"]
+        assert first == second
 
 
 class TestValidate:
     def test_flags_unknown_series_and_bad_references(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
+        path = tmp_path / "ledger.sqlite"
         RunLedger(path).close()
-        with path.open("a") as handle:
-            handle.write(json.dumps({
-                "table": "samples", "run_id": 7, "time": -1.0,
-                "series": "nope", "key": "", "value": 0.0,
-            }) + "\n")
-            handle.write(json.dumps({
-                "table": "sweep_jobs", "sweep_id": 3, "job_index": 0,
-                "job_kind": "J", "status": "started", "cache_hit": 0,
-                "elapsed_wall": 0.0, "created_wall": 0.0,
-            }) + "\n")
+        _insert(path, "samples", {
+            "run_id": 7, "time": -1.0, "series": "nope", "key": "",
+            "value": 0.0,
+        })
+        _insert(path, "sweep_jobs", {
+            "sweep_id": 3, "job_index": 0, "job_kind": "J",
+            "status": "started", "cache_hit": 0, "elapsed_wall": 0.0,
+            "created_wall": 0.0,
+        })
         with RunLedger(path) as ledger:
             problems = ledger.validate()
         assert any("unknown run 7" in problem for problem in problems)
         assert any("unknown sweep 3" in problem for problem in problems)
 
     def test_flags_invalid_phase_codes(self, tmp_path, vgg19_partition):
-        path = tmp_path / "ledger.jsonl"
+        path = tmp_path / "ledger.sqlite"
         result = _run(vgg19_partition)
         with RunLedger(path) as ledger:
             ledger.record_run(command="run", kind="fela", result=result)
-        with path.open("a") as handle:
-            handle.write(json.dumps({
-                "table": "samples", "run_id": 0, "time": 0.0,
-                "series": "worker.phase", "key": "0", "value": 42.0,
-            }) + "\n")
+        _insert(path, "samples", {
+            "run_id": 0, "time": 0.0, "series": "worker.phase",
+            "key": "0", "value": 42.0,
+        })
         with RunLedger(path) as ledger:
             problems = ledger.validate()
         assert any("phase code" in problem for problem in problems)
