@@ -218,6 +218,8 @@ def _cmd_partition(args: argparse.Namespace) -> str:
 def _cmd_run(args: argparse.Namespace) -> str:
     from repro.obs import Sampler, Tracer, write_chrome_trace
 
+    # Open the ledger first: a bad path fails before any simulation.
+    ledger = _open_ledger(args)
     runner = ExperimentRunner()
     spec = ExperimentSpec(
         model_name=args.model,
@@ -276,7 +278,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
             samples=sampler.samples if sampler is not None else (),
         )
         table += f"\nwrote {count} trace events to {args.trace_out}"
-    ledger = _open_ledger(args)
     if ledger is not None:
         from repro.store import run_row_from_result
 
@@ -304,6 +305,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         write_metrics_csv,
     )
 
+    ledger = _open_ledger(args)
     runner = ExperimentRunner()
     spec = ExperimentSpec(
         model_name=args.model,
@@ -332,7 +334,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     if args.metrics_csv:
         write_metrics_csv(args.metrics_csv, metrics)
         lines.append(f"wrote metrics CSV to {args.metrics_csv}")
-    ledger = _open_ledger(args)
     if ledger is not None:
         from repro.store import run_row_from_result
 
@@ -625,6 +626,7 @@ _CLUSTER_SUMMARY_HEADER = [
 def _cmd_cluster(args: argparse.Namespace) -> str:
     from repro.cluster import ClusterSimulator, generate_trace
 
+    ledger = _open_ledger(args)
     spec = _cluster_trace_spec(args)
     trace = generate_trace(spec)
     trace_desc = (
@@ -651,7 +653,6 @@ def _cmd_cluster(args: argparse.Namespace) -> str:
     )
     results = [simulate(name) for name in schedulers]
     lines = []
-    ledger = _open_ledger(args)
     if ledger is not None:
         with ledger:
             for result in results:

@@ -17,7 +17,16 @@ from repro.errors import SchedulingError
 
 
 class TokenBucket:
-    """Holds the available (generated, not yet distributed) tokens."""
+    """Holds the available (generated, not yet distributed) tokens.
+
+    Besides the STBs themselves the bucket keeps three indexes, all
+    maintained on every add and remove: the non-empty STBs, the STBs
+    holding each level, and a growth log of the workers whose STBs
+    gained tokens since the distributor last drained it
+    (:meth:`drain_grown`).  Growth is the one bucket event that lowers a
+    straggler's helper-election key, so the log is all the distributor's
+    election heaps need to stay exact.
+    """
 
     def __init__(self, num_workers: int) -> None:
         if num_workers < 1:
@@ -28,16 +37,17 @@ class TokenBucket:
         ]
         self._size = 0
         #: Workers whose STBs currently hold tokens, maintained on every
-        #: add/remove.  Candidate enumeration (helper election) iterates
-        #: this set, so a token-scheduling round costs O(workers with
-        #: backlog) instead of O(all workers) — the difference between 8
-        #: and 1000 workers.
+        #: add/remove.  Helper election tests candidates against it, and
+        #: builds its unrestricted heap from it once per iteration.
         self._nonempty: set[int] = set()
         #: Level → {wid: number of that level's tokens in wid's STB},
-        #: zero counts and empty levels deleted.  A CTD-restricted helper elects among
-        #: the STBs that hold a level it may take (:meth:`holders`)
-        #: instead of scanning every non-empty STB's tokens.
+        #: zero counts and empty levels deleted.  A CTD-restricted helper
+        #: elects among the STBs that hold a level it may take
+        #: (:meth:`holders`) without looking at any token.
         self._by_level: dict[int, dict[int, int]] = {}
+        #: Workers whose STBs grew since the last :meth:`drain_grown`,
+        #: insertion-ordered (a dict used as an ordered set).
+        self._grown: dict[int, None] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -69,6 +79,7 @@ class TokenBucket:
         stb[token.tid] = token
         self._size += 1
         self._nonempty.add(token.home_worker)
+        self._grown[token.home_worker] = None
         self._count_level(token.level, token.home_worker)
 
     def add_many(self, tokens: _t.Iterable[Token]) -> None:
@@ -81,6 +92,7 @@ class TokenBucket:
         stbs = self._stbs
         num_workers = self.num_workers
         nonempty = self._nonempty
+        grown = self._grown
         count_level = self._count_level
         count = 0
         for token in tokens:
@@ -95,6 +107,7 @@ class TokenBucket:
                 raise SchedulingError(f"token {token.tid} added twice")
             stb[token.tid] = token
             nonempty.add(home)
+            grown[home] = None
             count_level(token.level, home)
             count += 1
         self._size += count
@@ -127,6 +140,13 @@ class TokenBucket:
             self._by_level[level] = {home: 1}
         else:
             holders[home] = holders.get(home, 0) + 1
+
+    def drain_grown(self) -> dict[int, None]:
+        """Take the growth log: workers whose STBs gained tokens since
+        the last call, in the order they first grew."""
+        grown = self._grown
+        self._grown = {}
+        return grown
 
     # -- queries -----------------------------------------------------------------
 

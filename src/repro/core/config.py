@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TokenCountError
 from repro.partition import Partition
 
 
@@ -126,7 +126,7 @@ class FelaConfig:
             )
         n_1 = self.token_counts()[0]
         if n_1 > self.total_batch:
-            raise ConfigurationError(
+            raise TokenCountError(
                 f"largest weight {max(self.weights)} rounds the level-1 "
                 f"token count up to {n_1}, more than total batch "
                 f"{self.total_batch} (each token needs at least one "

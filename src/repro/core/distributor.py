@@ -20,11 +20,16 @@ Selection pipeline for a requesting worker:
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import typing as _t
 
 from repro.core.bucket import TokenBucket
 from repro.core.config import FelaConfig
 from repro.core.tokens import InfoMapping, Token
+
+#: Election-heap group of every non-empty STB (the level groups use
+#: their level, which is never negative).
+_ANY_LEVEL = -1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,6 +64,16 @@ class TokenDistributor:
         self._helping: dict[int, int] = {}
         #: straggler wid -> set of current helper wids.
         self._helpers: dict[int, set[int]] = {}
+        #: Helper-election index: group -> min-heap of ``(helpers,
+        #: -STB size, wid)`` keys, for the non-empty STBs (group
+        #: ``_ANY_LEVEL``) and for each level's holders.  Every group
+        #: member has an entry no larger than its current key; reads
+        #: drop or refresh outdated entries.  A group is built on its
+        #: first election of an iteration.
+        self._heaps: dict[int, list[tuple[int, int, int]]] = {}
+        #: Stragglers that lost a helper since the last election,
+        #: insertion-ordered (their keys fell: push them again).
+        self._relieved: dict[int, None] = {}
         #: Requests currently being serviced (for conflict detection).
         self._in_flight_requests: int = 0
         #: wid -> (subset identity, levels) cache for takeable_levels();
@@ -202,9 +217,10 @@ class TokenDistributor:
         helpers, then the slowest progress (largest STB backlog), then the
         lowest id.  Only the elected straggler's pool is materialized.
         An unrestricted helper (subset member or CTD off) may take
-        anything, so every non-empty STB qualifies; a CTD-restricted one
-        elects among the STBs the bucket's level index lists for its
-        takeable levels, without looking at any token.
+        anything, so it elects among every non-empty STB; a
+        CTD-restricted one among the STBs holding a level it may take.
+        Each group is a lazily validated min-heap (:meth:`_elect`), so an
+        election costs O(log workers) amortized instead of a scan.
         """
         restricted = (
             self.config.ctd_enabled and wid not in self.current_subset()
@@ -222,35 +238,13 @@ class TokenDistributor:
                 return pool
             self._stop_helping(wid)
 
-        helpers = self._helpers
-        # Candidates come from the bucket's unordered indexes: every
-        # non-empty STB for an unrestricted helper, else the STBs holding
-        # a level it may take (a worker may repeat, once per level).
-        # Keys are unique per straggler, so the strict-< running minimum
-        # elects the straggler a sorted scan would, in any visiting order.
-        groups: _t.Sequence[_t.Collection[int]] = (
-            (bucket.nonempty(),)
-            if levels is None
-            else [bucket.holders(level) for level in levels]
+        best = self._elect(
+            bucket, (_ANY_LEVEL,) if levels is None else levels
         )
-        best_key: tuple[int, int, int] | None = None
-        best = -1
-        for group in groups:
-            for straggler in group:
-                if straggler == wid:
-                    continue
-                key = (
-                    len(helpers.get(straggler, ())),
-                    -bucket.stb_size(straggler),
-                    straggler,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = straggler
-        if best_key is None:
+        if best < 0:
             return []
         self._helping[wid] = best
-        helpers.setdefault(best, set()).add(wid)
+        self._helpers.setdefault(best, set()).add(wid)
         view = bucket.stb_view(best)
         return (
             list(view)
@@ -258,10 +252,88 @@ class TokenDistributor:
             else [t for t in view if t.level in levels]
         )
 
+    def _elect(
+        self, bucket: TokenBucket, groups: _t.Iterable[int]
+    ) -> int:
+        """The member of ``groups`` with the smallest key, or -1.
+
+        Keys ``(helpers, -STB size, wid)`` are unique per worker, so the
+        minimum is the straggler a full scan would elect.  The requester
+        is never a member: its own STB holds no token it may take.
+
+        Only two events lower a key: the STB grows (the bucket's growth
+        log) or a helper leaves (``_relieved``).  Both push the current
+        key into every existing group the worker belongs to, here,
+        before reading.  Removals and new helpers only raise keys, so a
+        heap top may be outdated: it is dropped if its worker left the
+        group, replaced by the current key if larger, and accepted once
+        it equals the current key.
+        """
+        heaps = self._heaps
+        helpers = self._helpers
+        stb_size = bucket.stb_size
+        nonempty = bucket.nonempty()
+        lowered = bucket.drain_grown()
+        if self._relieved:
+            lowered.update(self._relieved)
+            self._relieved = {}
+        if heaps and lowered:
+            members = [
+                (heap, nonempty if group == _ANY_LEVEL else bucket.holders(group))
+                for group, heap in heaps.items()
+            ]
+            for worker in lowered:
+                key = (len(helpers.get(worker, ())), -stb_size(worker), worker)
+                for heap, group_members in members:
+                    if worker in group_members:
+                        heapq.heappush(heap, key)
+
+        best_key: tuple[int, int, int] | None = None
+        for group in groups:
+            group_members = (
+                nonempty if group == _ANY_LEVEL else bucket.holders(group)
+            )
+            heap = heaps.get(group)
+            if heap is None:
+                # Built from a sorted list, not by iterating the set.
+                heap = heaps[group] = self._build(
+                    bucket.nonempty_stbs()
+                    if group == _ANY_LEVEL
+                    else group_members,
+                    bucket,
+                )
+            while heap:
+                entry = heap[0]
+                worker = entry[2]
+                if worker not in group_members:
+                    heapq.heappop(heap)
+                    continue
+                key = (len(helpers.get(worker, ())), -stb_size(worker), worker)
+                if entry != key:
+                    heapq.heapreplace(heap, key)
+                    continue
+                if best_key is None or key < best_key:
+                    best_key = key
+                break
+        return -1 if best_key is None else best_key[2]
+
+    def _build(
+        self, workers: _t.Iterable[int], bucket: TokenBucket
+    ) -> list[tuple[int, int, int]]:
+        """A fresh election heap holding each worker's current key."""
+        helpers = self._helpers
+        heap = [
+            (len(helpers.get(worker, ())), -bucket.stb_size(worker), worker)
+            for worker in workers
+        ]
+        heapq.heapify(heap)
+        return heap
+
     def _stop_helping(self, wid: int) -> None:
         straggler = self._helping.pop(wid, None)
         if straggler is not None:
             self._helpers.get(straggler, set()).discard(wid)
+            self._relieved[straggler] = None
 
     def helper_of(self, wid: int) -> int | None:
         """The straggler ``wid`` currently helps, if any (for tests)."""
@@ -276,6 +348,12 @@ class TokenDistributor:
         self._in_flight_requests = max(0, self._in_flight_requests - 1)
 
     def reset_iteration(self) -> None:
-        """Clear helper relationships at an iteration boundary."""
+        """Clear helper relationships at an iteration boundary.
+
+        Every helped straggler's key falls, so the election heaps are
+        dropped too; each is rebuilt at its first election.
+        """
         self._helping.clear()
         self._helpers.clear()
+        self._heaps.clear()
+        self._relieved.clear()

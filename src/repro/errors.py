@@ -24,6 +24,15 @@ class ConfigurationError(ReproError):
     """An experiment, runtime, or hardware model was configured incorrectly."""
 
 
+class TokenCountError(ConfigurationError):
+    """A config's largest weight rounds its level-1 token count above the
+    total batch, so some token would get no sample.
+
+    Its own class so the tuner can drop such weight candidates by
+    constructing them, without copying the rule.
+    """
+
+
 class CapacityError(ReproError):
     """A hardware capacity constraint was violated.
 

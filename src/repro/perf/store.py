@@ -157,10 +157,13 @@ def save_store(
     path: str | pathlib.Path, runs: _t.Sequence[BenchRun]
 ) -> None:
     """Write the full store (schema envelope + runs), byte-stable."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "runs": [run.to_dict() for run in runs],
-    }
+    _write_store(path, [run.to_dict() for run in runs])
+
+
+def _write_store(
+    path: str | pathlib.Path, runs: _t.Sequence[dict[str, _t.Any]]
+) -> None:
+    payload = {"schema": SCHEMA_VERSION, "runs": list(runs)}
     pathlib.Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -169,11 +172,21 @@ def save_store(
 def append_run(
     path: str | pathlib.Path, run: BenchRun
 ) -> list[BenchRun]:
-    """Append ``run`` to the store (creating it if absent); returns all."""
+    """Append ``run`` to the store (creating it if absent); returns all.
+
+    Stored runs are written back verbatim: a round trip through
+    :class:`BenchRun` would drop the keys of since-deleted fields from
+    older runs and rewrite the history the store exists to keep.
+    """
     path = pathlib.Path(path)
-    runs = load_store(path) if path.exists() else []
+    runs: list[BenchRun] = []
+    stored: list[dict[str, _t.Any]] = []
+    if path.exists():
+        runs = load_store(path)
+        stored = json.loads(path.read_text())["runs"]
     runs.append(run)
-    save_store(path, runs)
+    stored.append(run.to_dict())
+    _write_store(path, stored)
     return runs
 
 

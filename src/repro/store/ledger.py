@@ -109,7 +109,12 @@ class RunLedger:
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        self._conn = sqlite3.connect(self.path)
+        try:
+            self._conn = sqlite3.connect(self.path)
+        except sqlite3.Error as exc:
+            raise LedgerError(
+                f"cannot open run ledger {self.path}: {exc}"
+            ) from None
         try:
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, "

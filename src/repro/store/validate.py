@@ -12,6 +12,7 @@ rendered from.  Exit code 0 means every file passed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import typing as _t
 
@@ -20,7 +21,13 @@ from repro.store.ledger import RunLedger
 
 
 def validate_file(path: str) -> list[str]:
-    """Validate one ledger file; returns the list of problems found."""
+    """Validate one ledger file; returns the list of problems found.
+
+    A missing file is a problem, not an empty ledger: opening it would
+    create one, and a mistyped path would pass.
+    """
+    if not os.path.exists(path):
+        return [f"no such file: {path}"]
     try:
         with RunLedger(path) as ledger:
             return ledger.validate()

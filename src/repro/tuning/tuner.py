@@ -34,7 +34,7 @@ import time
 import typing as _t
 
 from repro.core import FelaConfig
-from repro.errors import TuningError
+from repro.errors import TokenCountError, TuningError
 from repro.hardware import ClusterSpec
 from repro.partition import Partition
 from repro.stragglers import StragglerInjector
@@ -191,6 +191,20 @@ class ConfigurationTuner:
             iterations=iterations,
         )
 
+    def _batch_fits(self, weights: tuple[int, ...]) -> bool:
+        """Whether ``weights`` leaves every level-1 token a sample.
+
+        A large weight can round ``n_1`` above a small total batch (say
+        6 samples on 6 workers with ``w_max = 4``).  ``(1, ..., 1)``
+        always fits once the batch covers the workers, so dropping the
+        rest still leaves a search.
+        """
+        try:
+            self._config(weights, self.num_workers)
+        except TokenCountError:
+            return False
+        return True
+
     def _ensure_executor(self) -> _t.Any:
         if self._executor is None:
             from repro.exec import SweepExecutor
@@ -248,9 +262,13 @@ class ConfigurationTuner:
         hits_before = executor.cache_hits
         wall_begin = time.perf_counter()
 
-        candidates = enumerate_weight_candidates(
-            len(self.partition), self.num_workers
-        )
+        candidates = [
+            weights
+            for weights in enumerate_weight_candidates(
+                len(self.partition), self.num_workers
+            )
+            if self._batch_fits(weights)
+        ]
         cases: list[TuningCase] = []
         profiled = 0
         warmup = 0

@@ -1,13 +1,14 @@
 """HF helper election against a reference oracle, and the level index.
 
-``TokenDistributor._helper_pool`` elects a straggler from the bucket's
-unordered indexes (the non-empty STBs, or the STBs holding a level the
-helper may take).  The reference below is the straightforward form: sort
-the non-empty STBs, skip those without a takeable token by scanning their
-tokens, take the smallest ``(helpers, -backlog, wid)`` key.  Two
-distributor/bucket pairs run the same random operation sequence, one
-electing through each, and must agree on every selection and on every
-helper assignment.
+``TokenDistributor._helper_pool`` elects a straggler through lazily
+validated min-heaps over the non-empty STBs, or over the STBs holding a
+level the helper may take.  The reference below is the straightforward
+form: sort the non-empty STBs, skip those without a takeable token by
+scanning their tokens, take the smallest ``(helpers, -backlog, wid)``
+key.  Two distributor/bucket pairs run the same random operation
+sequence, one electing through each, and must agree on every selection
+and on every helper assignment.  The replay runs at 7 workers and, with
+targeted growth of indexed STBs, at 64.
 """
 
 import random
@@ -71,9 +72,9 @@ def reference_helper_pool(distributor, wid, bucket):
 class Membership:
     """The two members of the fault-layer membership CTD reads."""
 
-    def __init__(self):
+    def __init__(self, num_workers):
         self.epoch = 0
-        self.active = list(range(NUM_WORKERS))
+        self.active = list(range(num_workers))
 
     def active_workers(self):
         return list(self.active)
@@ -110,12 +111,39 @@ def _token(tid, level, home):
     )
 
 
-def _replay(full, ctd, subset_size, levels, elastic, seed, steps):
-    """Run one random operation sequence through both elections."""
+def _targeted_add(rng, bucket, levels, tid):
+    """A single ``bucket.add`` into an STB the election has indexed.
+
+    Either a reclaim-style re-add of any level to a worker that already
+    holds tokens, or a higher-level token for a holder of level 0: the
+    whole-STB key falls in every group the worker is in, not just the
+    added token's level.
+    """
+    if rng.random() < 0.5:
+        candidates = bucket.nonempty_stbs()
+        level = rng.randrange(levels)
+    else:
+        candidates = sorted(bucket.holders(0))
+        level = rng.randrange(1, levels)
+    if not candidates:
+        return None
+    return (tid, level, rng.choice(candidates))
+
+
+def _replay(
+    full, ctd, subset_size, levels, elastic, seed, steps,
+    num_workers=NUM_WORKERS, targeted=False,
+):
+    """Run one random operation sequence through both elections.
+
+    ``targeted`` (the at-scale replay) mixes in :func:`_targeted_add`
+    steps, puts most of the backlog on one worker in eight and makes
+    iteration resets rare.
+    """
     config = FelaConfig(
         partition=_partition(full, levels),
-        total_batch=128,
-        num_workers=NUM_WORKERS,
+        total_batch=max(128, 4 * num_workers),
+        num_workers=num_workers,
         weights=(1, 2, 4)[:levels],
         conditional_subset_size=subset_size,
         ctd_enabled=ctd,
@@ -129,25 +157,34 @@ def _replay(full, ctd, subset_size, levels, elastic, seed, steps):
             distributor._helper_pool = types.MethodType(
                 reference_helper_pool, distributor
             )
-        membership = Membership()
+        membership = Membership(num_workers)
         if elastic:
             distributor.attach_membership(membership)
-        pairs.append((distributor, TokenBucket(NUM_WORKERS), membership))
+        pairs.append((distributor, TokenBucket(num_workers), membership))
     rng = random.Random(seed)
     next_tid = 0
     for _ in range(steps):
+        if targeted and rng.random() < 0.15:
+            spec = _targeted_add(rng, pairs[0][1], levels, next_tid)
+            if spec is not None:
+                next_tid += 1
+                for _, bucket, _ in pairs:
+                    bucket.add(_token(*spec))
         op = rng.random()
         if op < 0.35:
             batch = []
             for _ in range(rng.randint(1, 6)):
-                batch.append(
-                    (next_tid, rng.randrange(levels), rng.randrange(NUM_WORKERS))
-                )
+                home = rng.randrange(num_workers)
+                if targeted and rng.random() < 0.8:
+                    # Most of the backlog on one worker in eight, as at
+                    # the end of an iteration: many helpers per straggler.
+                    home //= 8
+                batch.append((next_tid, rng.randrange(levels), home))
                 next_tid += 1
             for _, bucket, _ in pairs:
                 bucket.add_many(_token(*spec) for spec in batch)
         elif op < 0.85:
-            wid = rng.randrange(NUM_WORKERS)
+            wid = rng.randrange(num_workers)
             picks = []
             for distributor, bucket, _ in pairs:
                 selection = distributor.select(wid, bucket, info)
@@ -164,14 +201,16 @@ def _replay(full, ctd, subset_size, levels, elastic, seed, steps):
         elif op < 0.93 and elastic:
             # A membership epoch move: someone leaves or rejoins, so the
             # CTD subset (the first ``subset_size`` active workers) moves.
-            wid = rng.randrange(NUM_WORKERS)
+            wid = rng.randrange(num_workers)
             for _, _, membership in pairs:
                 if wid in membership.active and len(membership.active) > 1:
                     membership.active.remove(wid)
                 elif wid not in membership.active:
                     membership.active = sorted(membership.active + [wid])
                 membership.epoch += 1
-        else:
+        elif not targeted or rng.random() < 0.1:
+            # Rare at scale, so the heaps gather stale entries between
+            # rebuilds.
             for distributor, _, _ in pairs:
                 distributor.reset_iteration()
 
@@ -188,6 +227,25 @@ def test_election_matches_reference(
     vgg19_partition, ctd, subset_size, levels, elastic, seed
 ):
     _replay(vgg19_partition, ctd, subset_size, levels, elastic, seed, 120)
+
+
+@given(
+    ctd=st.booleans(),
+    subset_size=st.integers(1, 16),
+    levels=st.sampled_from((2, 3)),
+    elastic=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_election_matches_reference_at_scale(
+    vgg19_partition, ctd, subset_size, levels, elastic, seed
+):
+    """64 workers, so the heaps hold many stale entries, with indexed
+    STBs growing through single adds between elections."""
+    _replay(
+        vgg19_partition, ctd, subset_size, levels, elastic, seed, 600,
+        num_workers=64, targeted=True,
+    )
 
 
 def _recount(bucket):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main, parse_batches, parse_straggler
 from repro.errors import ConfigurationError
+from repro.harness import ExperimentRunner
 from repro.stragglers import (
     NoStraggler,
     ProbabilityStraggler,
@@ -78,6 +79,23 @@ class TestCommands:
              "--straggler", "rr:4"]
         )
         assert code == 0
+
+    def test_bad_ledger_path_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("simulated despite a bad ledger path")
+
+        monkeypatch.setattr(ExperimentRunner, "run", no_run)
+        code = main(
+            ["run", "vgg19", "--batch", "128", "--workers", "4",
+             "--iterations", "2", "--ledger",
+             str(tmp_path / "nodir" / "x.sqlite")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open run ledger")
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_model_is_clean_error(self, capsys):
         assert main(["profile", "nonexistent"]) == 2

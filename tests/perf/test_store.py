@@ -107,6 +107,19 @@ class TestStoreFormat:
         reloaded = load_store(path)
         assert reloaded == [first, second]
 
+    def test_append_keeps_older_runs_verbatim(self, tmp_path):
+        # An older run carrying the key of a since-deleted field keeps
+        # it when a new run is appended.
+        path = tmp_path / "bench.json"
+        append_run(path, run("before", {"micro.a": 1.0}))
+        raw = json.loads(path.read_text())
+        raw["runs"][0]["results"][0]["retired_field"] = 7
+        path.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+        append_run(path, run("after", {"micro.a": 0.5}))
+        stored = json.loads(path.read_text())["runs"]
+        assert stored[0]["results"][0]["retired_field"] == 7
+        assert [r.label for r in load_store(path)] == ["before", "after"]
+
     def test_committed_store_loads(self):
         # The repo-root baseline must always be readable by the tool.
         runs = load_store("BENCH_core.json")

@@ -15,6 +15,7 @@ from repro.store import (
     run_row_from_result,
 )
 from repro.store.ledger import TABLES, WALL_COLUMNS
+from repro.store.validate import main as validate_main
 
 
 def _run(partition, *, sampler=None, tracer=None, faults=None):
@@ -174,6 +175,12 @@ class TestSchema:
         with pytest.raises(LedgerError, match="ledger.jsonl"):
             RunLedger(path)
 
+    def test_missing_directory_raises(self, tmp_path):
+        # sqlite3 cannot create a file in a directory that does not
+        # exist: the ledger names the path instead of a raw traceback.
+        with pytest.raises(LedgerError, match="nodir"):
+            RunLedger(tmp_path / "nodir" / "x.sqlite")
+
     def test_wall_columns_are_the_only_timestamps(self):
         # The determinism contract: every nondeterministic column is
         # named *_wall, so consumers can mask them mechanically.
@@ -257,3 +264,21 @@ class TestValidate:
         with RunLedger(path) as ledger:
             problems = ledger.validate()
         assert any("phase code" in problem for problem in problems)
+
+
+class TestValidateCli:
+    def test_missing_file_fails_and_creates_nothing(self, tmp_path, capsys):
+        path = tmp_path / "missing.sqlite"
+        assert validate_main([str(path)]) == 1
+        assert "no such file" in capsys.readouterr().out
+        assert not path.exists()
+
+    def test_missing_directory_fails_without_traceback(self, tmp_path, capsys):
+        assert validate_main([str(tmp_path / "nodir" / "x.sqlite")]) == 1
+        assert "no such file" in capsys.readouterr().out
+
+    def test_valid_ledger_passes(self, tmp_path, capsys):
+        path = tmp_path / "ledger.sqlite"
+        RunLedger(path).close()
+        assert validate_main([str(path)]) == 0
+        assert "OK (0 runs" in capsys.readouterr().out

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import TuningError
-from repro.tuning import ConfigurationTuner
+from repro.core import FelaConfig
+from repro.errors import TokenCountError, TuningError
+from repro.tuning import ConfigurationTuner, enumerate_weight_candidates
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +97,36 @@ class TestTunedConfig:
             ConfigurationTuner(
                 vgg19_partition, 128, 8, profile_iterations=0
             )
+
+
+class TestSmallBatch:
+    """A batch as small as the worker count: large weights round the
+    level-1 token count past it, and the tuner must skip them."""
+
+    @pytest.mark.parametrize("batch", [3, 6, 7, 12])
+    def test_halving_tune_finishes(self, vgg19_partition, batch):
+        tuner = ConfigurationTuner(
+            vgg19_partition, total_batch=batch, num_workers=batch
+        )
+        result = tuner.tune("halving")
+        config = tuner.tuned_config(iterations=1, result=result)
+        assert config.token_counts()[0] <= batch
+
+    @pytest.mark.parametrize("batch", [3, 6, 7, 12])
+    def test_only_oversized_weights_are_dropped(self, vgg19_partition, batch):
+        tuner = ConfigurationTuner(
+            vgg19_partition, total_batch=batch, num_workers=batch,
+            profile_iterations=1,
+        )
+        kept = [case.weights for case in tuner.tune().phase1_cases]
+        assert (1, 1, 1) in kept
+        for weights in enumerate_weight_candidates(3, batch):
+            if weights in kept:
+                continue
+            with pytest.raises(TokenCountError):
+                FelaConfig(
+                    partition=vgg19_partition,
+                    total_batch=batch,
+                    num_workers=batch,
+                    weights=weights,
+                )
