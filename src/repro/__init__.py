@@ -18,8 +18,8 @@ substrate:
 * :mod:`repro.stragglers` — straggler injection;
 * :mod:`repro.metrics` / :mod:`repro.harness` — the paper's metrics and a
   generator per published table and figure;
-* :mod:`repro.analysis` — determinism linter and flow analyzer
-  (``repro analyze [--flow]``) and the opt-in runtime invariant checker;
+* :mod:`repro.analysis` — the whole-program determinism analyzer
+  (``repro analyze``) and the opt-in runtime invariant checker;
 * :mod:`repro.obs` — structured tracing (Chrome trace / Perfetto
   export), the metrics registry, and the plain-text run report (see
   ``docs/observability.md``).

@@ -13,35 +13,26 @@ properties nothing else enforces mechanically:
 
 Two complementary halves:
 
-* :mod:`repro.analysis.rules` / :mod:`repro.analysis.linter` — an
-  AST-based lint pass (``repro analyze src``) with codebase-specific
-  rules (FELA001..FELA006) and ``# repro: noqa-RULE`` suppression, plus
-  the whole-program FELA1xx rules of :mod:`repro.analysis.flow`
-  (``repro analyze --flow src``);
+* :mod:`repro.analysis.engine` — a whole-program static analyzer
+  (``repro analyze src``): one parse per file
+  (:mod:`~repro.analysis.facts`) feeds the per-file FELA00x rules and
+  the interprocedural FELA1xx rules (:mod:`~repro.analysis.rules`),
+  with ``# repro: noqa-RULE`` suppression;
 * :mod:`repro.analysis.invariants` — an opt-in runtime checker that
   :class:`~repro.core.runtime.FelaRuntime` puts on the tracer stream,
   raising a structured :class:`~repro.errors.InvariantViolation` on the
   first conservation, sync-accounting or monotonicity breach.
 """
 
+from repro.analysis.engine import Report, analyze_paths, analyze_sources
 from repro.analysis.invariants import InvariantChecker
-from repro.analysis.linter import (
-    Violation,
-    format_json,
-    format_text,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.rules import LintRule, all_rules, get_rule
+from repro.analysis.rules import RULES, Finding
 
 __all__ = [
+    "Finding",
     "InvariantChecker",
-    "LintRule",
-    "Violation",
-    "all_rules",
-    "format_json",
-    "format_text",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
+    "RULES",
+    "Report",
+    "analyze_paths",
+    "analyze_sources",
 ]

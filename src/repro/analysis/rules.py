@@ -1,509 +1,404 @@
-"""Lint rules and the rule framework.
+"""The FELA rule set, evaluated over a whole program.
 
-A rule is a small class declaring which AST node types it wants to see
-(:attr:`LintRule.node_types`) and which files it applies to
-(:meth:`LintRule.applies_to`).  The linter parses each file once, builds
-a :class:`LintContext` (path scope + import resolution table), and
-dispatches every node of the tree to the interested rules — one walk per
-file regardless of how many rules are registered.
-
-Rule ids are ``FELA###``.  ``FELA000`` is reserved for parse failures
-reported by the linter itself.
-
-The initial rule set targets the determinism contract of this codebase:
+Every rule reads the model built from one parse per file
+(:mod:`repro.analysis.facts`).  The per-file rules judge the sites a
+file's fact pass recorded; the whole-program rules consume the global
+model of :mod:`repro.analysis.callgraph` — interprocedural taint, the
+call graph, class hierarchy, and per-function summaries — and every
+finding they raise carries the call chain (``trace``) that justifies
+it, so a report reads as an explanation rather than a pattern match.
 
 =========  =============================================================
+FELA000    the file cannot be parsed (raised by the engine)
 FELA001    no wall-clock reads inside ``repro.sim`` / ``repro.core``
 FELA002    no unseeded RNG (``random.*`` module functions, legacy
            ``numpy.random.*``) anywhere
-FELA003    simulation processes must yield events, never bare literals
 FELA004    no mutable default arguments
 FELA005    no floating-point ``==`` in convergence/metrics/tuning code
 FELA006    no direct multiprocessing outside ``repro.exec``
+FELA101    a nondeterministic value (wall clock, host environment,
+           unseeded RNG) reaches simulation time — directly or
+           laundered through any number of helper calls
+FELA102    iteration over an unordered ``set`` feeds
+           scheduling-order-sensitive state, or its order escapes
+FELA103    a JobSpec construction captures an unpicklable or unseeded
+           value, breaking byte-identical parallel sweeps
+FELA104    a sim-process ``yield`` resolves to something other than an
+           Event: a bare ``yield``, a literal, a container, a generator
+           expression, or a helper that only returns plain values
+FELA105    a resource is acquired in a generator and never released or
+           cancelled on any path (leak / deadlock candidate)
 =========  =============================================================
 """
 
 from __future__ import annotations
 
-import abc
-import ast
 import dataclasses
 import typing as _t
 
+from repro.analysis.callgraph import (
+    EVENT_ROOTS,
+    JOBSPEC_ROOTS,
+    CallGraph,
+    Program,
+    event_kinds,
+    resolve_atoms,
+    return_taint,
+    state_closure,
+)
+from repro.analysis.facts import (
+    KIND_RNG,
+    KIND_WALL,
+    SIM_PACKAGES,
+    SITE_FLOAT_EQ,
+    SITE_MUTABLE_DEFAULT,
+    SITE_POOL_CALL,
+    SITE_POOL_IMPORT,
+    ModuleFacts,
+    in_packages,
+)
+
+#: Rule id reserved for files that cannot be parsed.
+PARSE_ERROR_RULE = "FELA000"
+
+#: Rule id -> one-line summary (drives --list-rules).
+RULES: dict[str, str] = {
+    "FELA001": (
+        "no wall-clock reads (time.time/perf_counter/datetime.now) in "
+        "repro.sim / repro.core; use the event-loop clock (env.now)"
+    ),
+    "FELA002": (
+        "no unseeded RNG: random.* module functions and legacy "
+        "numpy.random.* are banned; thread a seeded generator instead"
+    ),
+    "FELA004": "no mutable default arguments (list/dict/set displays)",
+    "FELA005": (
+        "no floating-point ==/!= against float literals in "
+        "convergence/metrics/tuning code; use math.isclose"
+    ),
+    "FELA006": (
+        "no direct multiprocessing/concurrent.futures use outside "
+        "repro.exec; go through repro.exec.SweepExecutor"
+    ),
+    "FELA101": (
+        "no nondeterministic value (wall clock, host env, unseeded RNG) "
+        "may reach simulation time, even through helper calls"
+    ),
+    "FELA102": (
+        "no unordered set iteration may feed "
+        "scheduling-order-sensitive simulation state"
+    ),
+    "FELA103": (
+        "JobSpec constructions must not capture unpicklable or "
+        "unseeded values (breaks byte-identical parallel sweeps)"
+    ),
+    "FELA104": (
+        "every sim-process yield must resolve to an Event/Timeout/"
+        "Condition; bare, literal, container and generator yields "
+        "are protocol violations"
+    ),
+    "FELA105": (
+        "resources acquired in a simulation generator must be "
+        "released or cancelled on every path"
+    ),
+}
+
 
 @dataclasses.dataclass(frozen=True, order=True)
-class Violation:
-    """One lint finding, sortable into report order."""
+class Finding:
+    """One finding, sortable into report order."""
 
     path: str
     line: int
     col: int
     rule_id: str
     message: str
+    #: Call chain justifying the finding, outermost first (empty for
+    #: the per-file rules).
+    trace: tuple[str, ...] = ()
 
     def render(self) -> str:
-        return (
+        text = (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule_id} {self.message}"
         )
+        if self.trace:
+            text += f" [via {' -> '.join(self.trace)}]"
+        return text
 
     def to_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
+        data = dataclasses.asdict(self)
+        data["trace"] = list(self.trace)
+        return data
 
 
-class LintContext:
-    """Per-file state shared by all rules: scope and import resolution."""
+def _chain_text(chain: tuple[str, ...]) -> str:
+    return " -> ".join(chain) if chain else "this expression"
 
-    def __init__(self, path: str, tree: ast.AST) -> None:
-        self.path = path
-        #: Module path inside the ``repro`` package, e.g.
-        #: ``("repro", "sim", "events")``; files outside the package get
-        #: their bare stem so path-scoped rules simply never match.
-        self.module_parts = self._module_parts(path)
-        #: local name -> dotted origin ("np" -> "numpy",
-        #: "perf_counter" -> "time.perf_counter").
-        self.imports: dict[str, str] = {}
-        self._collect_imports(tree)
 
-    @staticmethod
-    def _module_parts(path: str) -> tuple[str, ...]:
-        parts = path.replace("\\", "/").split("/")
-        if parts and parts[-1].endswith(".py"):
-            parts[-1] = parts[-1][: -len(".py")]
-        if "repro" in parts:
-            return tuple(parts[parts.index("repro"):])
-        return tuple(parts[-1:])
+def evaluate(program: Program) -> list[Finding]:
+    """Run every rule; returns deduplicated, sorted findings."""
+    graph = CallGraph(program)
+    taint = return_taint(program)
+    events = event_kinds(program)
+    stateful = state_closure(program, graph)
+    findings: set[Finding] = set()
+    for module in program.modules:
+        findings.update(_per_file(module))
+    findings.update(_fela101(program, taint))
+    findings.update(_fela102(program, stateful))
+    findings.update(_fela103(program))
+    findings.update(_fela104(program, events))
+    findings.update(_fela105(program))
+    return sorted(findings)
 
-    def _collect_imports(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.imports[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level or not node.module:
-                    continue  # relative imports cannot name stdlib clocks
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    self.imports[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
 
-    # -- queries rules use -------------------------------------------------
+# -- FELA001, FELA002, FELA004-006 --------------------------------------------
 
-    def in_package(self, *packages: str) -> bool:
-        """Whether this file lives under any dotted ``repro.x`` package."""
-        dotted = ".".join(self.module_parts)
-        return any(
-            dotted == pkg or dotted.startswith(pkg + ".")
-            for pkg in packages
+
+def _judge(module: str, kind: str, detail: str) -> tuple[str, str] | None:
+    """(rule id, message) for one site of ``module``, if a rule covers it."""
+    if kind == KIND_WALL:
+        if not in_packages(module, ("repro.sim", "repro.core")):
+            return None
+        return "FELA001", (
+            f"wall-clock call {detail}() in simulation code; "
+            "use the event-loop clock (env.now) instead"
         )
-
-    def resolve(self, node: ast.AST) -> str | None:
-        """Dotted origin of an attribute/name chain, through imports.
-
-        ``np.random.rand`` resolves to ``numpy.random.rand`` under
-        ``import numpy as np``; a bare ``perf_counter`` resolves to
-        ``time.perf_counter`` under ``from time import perf_counter``.
-        Locally defined names resolve to ``None`` (never flagged).
-        """
-        if isinstance(node, ast.Name):
-            return self.imports.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = self.resolve(node.value)
-            if base is None:
-                return None
-            return f"{base}.{node.attr}"
+    if kind == KIND_RNG:
+        if detail.startswith("numpy."):
+            return "FELA002", (
+                f"legacy numpy.random API {detail}(); use "
+                "numpy.random.default_rng(seed) instead"
+            )
+        return "FELA002", (
+            f"{detail}() uses the global RNG; construct "
+            "random.Random(seed) with a seed from configuration"
+        )
+    if kind == SITE_MUTABLE_DEFAULT:
+        return "FELA004", (
+            "mutable default argument; default to None and "
+            "create the container inside the function"
+        )
+    if kind == SITE_FLOAT_EQ:
+        if not in_packages(
+            module, ("repro.convergence", "repro.metrics", "repro.tuning")
+        ):
+            return None
+        return "FELA005", (
+            f"float equality against literal {detail}; use "
+            "math.isclose or an explicit tolerance"
+        )
+    # The process-pool sites: only repro.exec may fan out.
+    if not in_packages(module, ("repro",)) or in_packages(
+        module, ("repro.exec",)
+    ):
         return None
-
-
-class LintRule(abc.ABC):
-    """One lint rule: node interest + file scope + the check itself."""
-
-    rule_id: _t.ClassVar[str]
-    summary: _t.ClassVar[str]
-    node_types: _t.ClassVar[tuple[type[ast.AST], ...]]
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return True
-
-    @abc.abstractmethod
-    def check_node(
-        self, node: ast.AST, ctx: LintContext
-    ) -> _t.Iterator[Violation]:
-        """Yield violations for one AST node."""
-
-    def violation(
-        self, ctx: LintContext, node: ast.AST, message: str
-    ) -> Violation:
-        return Violation(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule_id=self.rule_id,
-            message=message,
+    if kind == SITE_POOL_CALL:
+        return "FELA006", (
+            f"{detail}() spawns workers outside repro.exec; "
+            "use repro.exec.SweepExecutor instead"
         )
-
-
-_REGISTRY: dict[str, LintRule] = {}
-
-
-def register(cls: type[LintRule]) -> type[LintRule]:
-    """Class decorator adding a rule to the global registry."""
-    rule = cls()
-    if rule.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate lint rule id {rule.rule_id}")
-    _REGISTRY[rule.rule_id] = rule
-    return cls
-
-
-def all_rules() -> tuple[LintRule, ...]:
-    """Every registered rule, in rule-id order."""
-    return tuple(_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
-
-
-def get_rule(rule_id: str) -> LintRule:
-    if rule_id not in _REGISTRY:
-        raise KeyError(
-            f"unknown lint rule {rule_id!r}; "
-            f"known: {', '.join(sorted(_REGISTRY))}"
-        )
-    return _REGISTRY[rule_id]
-
-
-# ---------------------------------------------------------------------------
-# The FELA rule set.
-# ---------------------------------------------------------------------------
-
-#: Callables that read the host's wall clock.
-_WALL_CLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-
-@register
-class WallClockRule(LintRule):
-    """FELA001: simulation code must use the event-loop clock.
-
-    ``Environment.now`` is the only clock the simulator may observe;
-    reading the host's wall clock makes timelines irreproducible.
-    """
-
-    rule_id = "FELA001"
-    summary = (
-        "no wall-clock reads (time.time/perf_counter/datetime.now) in "
-        "repro.sim / repro.core; use the event-loop clock (env.now)"
+    spelled = "import of" if kind == SITE_POOL_IMPORT else "import from"
+    return "FELA006", (
+        f"{spelled} {detail!r} outside repro.exec; "
+        "fan work out through repro.exec.SweepExecutor"
     )
-    node_types = (ast.Call,)
 
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_package("repro.sim", "repro.core")
 
-    def check_node(self, node, ctx):
-        assert isinstance(node, ast.Call)
-        origin = ctx.resolve(node.func)
-        if origin in _WALL_CLOCK:
-            yield self.violation(
-                ctx,
-                node,
-                f"wall-clock call {origin}() in simulation code; "
-                "use the event-loop clock (env.now) instead",
+def _per_file(module: ModuleFacts) -> _t.Iterator[Finding]:
+    for site in module.sites:
+        judged = _judge(module.module, site.kind, site.detail)
+        if judged is not None:
+            yield Finding(module.path, site.line, site.col, *judged)
+
+
+# -- FELA101 -----------------------------------------------------------------
+
+
+def _fela101(
+    program: Program, taint: _t.Any
+) -> _t.Iterator[Finding]:
+    for qualname in sorted(program.functions):
+        facts = program.functions[qualname]
+        if not in_packages(facts.module, SIM_PACKAGES):
+            continue
+        for sink in facts.sinks:
+            if sink.sink != "sim-time":
+                continue
+            kinds = resolve_atoms(sink.atoms, program, taint)
+            for kind in sorted(kinds):
+                chain = kinds[kind]
+                yield Finding(
+                    path=facts.path,
+                    line=sink.line,
+                    col=sink.col,
+                    rule_id="FELA101",
+                    message=(
+                        f"{kind} value reaches simulation time via "
+                        f"{sink.detail}(); derive delays from "
+                        "simulated state, not the host"
+                    ),
+                    trace=chain or (qualname,),
+                )
+
+
+# -- FELA102 -----------------------------------------------------------------
+
+
+def _fela102(
+    program: Program, stateful: set[str]
+) -> _t.Iterator[Finding]:
+    for qualname in sorted(program.functions):
+        facts = program.functions[qualname]
+        if not facts.module.startswith("repro"):
+            continue
+        for loop in facts.loops:
+            via = next(
+                (
+                    resolved.qualname
+                    for callee in loop.body_calls
+                    if (resolved := program.resolve_function(callee))
+                    is not None and resolved.qualname in stateful
+                ),
+                None,
+            )
+            if loop.body_sink or via is not None:
+                message = (
+                    f"iteration over unordered set ({loop.desc}) feeds "
+                    "scheduling-order-sensitive state; iterate "
+                    "sorted(...) or an insertion-ordered structure"
+                )
+            else:
+                message = (
+                    f"iteration order over unordered set ({loop.desc}) "
+                    "escapes this loop; sort it, or mark it "
+                    "`# repro: noqa-FELA102` if the consumer is "
+                    "order-insensitive"
+                )
+            yield Finding(
+                path=facts.path,
+                line=loop.line,
+                col=loop.col,
+                rule_id="FELA102",
+                message=message,
+                trace=(qualname,) + ((via,) if via else ()),
             )
 
 
-#: ``numpy.random`` attributes that are part of the seedable new-style
-#: API (everything else on the module is the legacy global-state API).
-_NUMPY_RANDOM_ALLOWED = frozenset({"default_rng"})
+# -- FELA103 -----------------------------------------------------------------
 
 
-@register
-class UnseededRandomRule(LintRule):
-    """FELA002: all randomness must flow from an explicit seed.
-
-    Module-level ``random.*`` functions and the legacy ``numpy.random.*``
-    API draw from hidden global state; use ``random.Random(seed)`` or
-    ``numpy.random.default_rng(seed)`` threaded from configuration.
-    """
-
-    rule_id = "FELA002"
-    summary = (
-        "no unseeded RNG: random.* module functions and legacy "
-        "numpy.random.* are banned; thread a seeded generator instead"
-    )
-    node_types = (ast.Call,)
-
-    def check_node(self, node, ctx):
-        assert isinstance(node, ast.Call)
-        origin = ctx.resolve(node.func)
-        if origin is None:
-            return
-        if origin.startswith("random."):
-            attr = origin[len("random."):]
-            # Seedable generator classes (Random, SystemRandom) are the
-            # sanctioned pattern; module-level functions are not.
-            if "." not in attr and not attr[:1].isupper():
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"{origin}() uses the global RNG; construct "
-                    "random.Random(seed) with a seed from configuration",
-                )
-        elif origin.startswith("numpy.random."):
-            attr = origin[len("numpy.random."):]
-            if (
-                "." not in attr
-                and not attr[:1].isupper()
-                and attr not in _NUMPY_RANDOM_ALLOWED
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"legacy numpy.random API {origin}(); use "
-                    "numpy.random.default_rng(seed) instead",
-                )
-
-
-@register
-class SimProtocolRule(LintRule):
-    """FELA003: simulation processes yield events, not values.
-
-    A generator registered with the event loop communicates only by
-    yielding :class:`~repro.sim.events.Event` objects; yielding a bare
-    literal or a container display deadlocks or crashes the process at
-    runtime, so catch it at lint time.
-    """
-
-    rule_id = "FELA003"
-    summary = (
-        "generators in simulation packages must yield events; literal "
-        "or container yields are protocol violations"
-    )
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    _BAD_YIELD = (
-        ast.Constant,
-        ast.List,
-        ast.Tuple,
-        ast.Dict,
-        ast.Set,
-        ast.ListComp,
-        ast.DictComp,
-        ast.SetComp,
-        ast.GeneratorExp,
-        ast.JoinedStr,
-    )
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_package(
-            "repro.sim",
-            "repro.core",
-            "repro.net",
-            "repro.hardware",
-            "repro.baselines",
-        )
-
-    def check_node(self, node, ctx):
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for yield_node in self._own_yields(node):
-            value = yield_node.value
-            if value is None:
-                yield self.violation(
-                    ctx,
-                    yield_node,
-                    "bare 'yield' in a simulation process; processes "
-                    "must yield Event objects",
-                )
-            elif isinstance(value, self._BAD_YIELD):
-                yield self.violation(
-                    ctx,
-                    yield_node,
-                    "simulation process yields a literal/container, not "
-                    "an Event; yield env.timeout(...)/env.event()/... "
-                    "instead",
-                )
-
-    @staticmethod
-    def _own_yields(func: ast.AST) -> _t.Iterator[ast.Yield]:
-        """Yield nodes belonging to ``func`` itself, not nested defs."""
-        stack = list(ast.iter_child_nodes(func))
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
+def _fela103(program: Program) -> _t.Iterator[Finding]:
+    for qualname in sorted(program.functions):
+        facts = program.functions[qualname]
+        for ctor in facts.ctors:
+            if not program.derives_from(ctor.callee, JOBSPEC_ROOTS):
                 continue
-            if isinstance(node, ast.Yield):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-
-@register
-class MutableDefaultRule(LintRule):
-    """FELA004: no mutable default arguments."""
-
-    rule_id = "FELA004"
-    summary = "no mutable default arguments (list/dict/set displays)"
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    _MUTABLE_DISPLAYS = (
-        ast.List,
-        ast.Dict,
-        ast.Set,
-        ast.ListComp,
-        ast.DictComp,
-        ast.SetComp,
-    )
-    _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
-
-    def check_node(self, node, ctx):
-        assert isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        )
-        args = node.args
-        defaults = list(args.defaults) + [
-            default for default in args.kw_defaults if default is not None
-        ]
-        for default in defaults:
-            if self._is_mutable(default):
-                yield self.violation(
-                    ctx,
-                    default,
-                    "mutable default argument; default to None and "
-                    "create the container inside the function",
+            for bad in ctor.bad:
+                yield Finding(
+                    path=facts.path,
+                    line=ctor.line,
+                    col=ctor.col,
+                    rule_id="FELA103",
+                    message=(
+                        f"JobSpec {ctor.callee.rsplit('.', 1)[-1]} "
+                        f"argument {bad.param!r} captures a "
+                        f"{bad.reason}; job specs must be picklable "
+                        "and fully seeded to fan out byte-identically"
+                    ),
+                    trace=(qualname, ctor.callee),
                 )
 
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(node, self._MUTABLE_DISPLAYS):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in self._MUTABLE_CONSTRUCTORS
-            and not node.args
-            and not node.keywords
-        )
+
+# -- FELA104 -----------------------------------------------------------------
+
+#: Yield kinds that are certainly not an Event -> how to name them
+#: (plus every ``unpicklable:<what>`` kind: lambdas, generators, ...).
+_NON_EVENTS = {
+    "none": "None (a bare 'yield')",
+    "value": "a plain value",
+    "set": "a plain value",
+}
 
 
-@register
-class FloatEqualityRule(LintRule):
-    """FELA005: metrics code must not compare floats with ``==``.
-
-    Comparisons against float literals in convergence/metrics/tuning
-    code hide accumulated rounding error; use ``math.isclose`` or an
-    explicit tolerance.  Comparisons against ``float("inf")`` /
-    ``math.inf`` are exact and therefore not flagged.
-    """
-
-    rule_id = "FELA005"
-    summary = (
-        "no floating-point ==/!= against float literals in "
-        "convergence/metrics/tuning code; use math.isclose"
-    )
-    node_types = (ast.Compare,)
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_package(
-            "repro.convergence", "repro.metrics", "repro.tuning"
-        )
-
-    def check_node(self, node, ctx):
-        assert isinstance(node, ast.Compare)
-        operands = [node.left, *node.comparators]
-        for op, (left, right) in zip(
-            node.ops, zip(operands, operands[1:])
-        ):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            for operand in (left, right):
-                if isinstance(operand, ast.Constant) and isinstance(
-                    operand.value, float
+def _fela104(
+    program: Program, events: dict[str, str]
+) -> _t.Iterator[Finding]:
+    for qualname in sorted(program.functions):
+        facts = program.functions[qualname]
+        if not facts.is_generator:
+            continue
+        for yielded in facts.yields_:
+            message: str | None = None
+            trace: tuple[str, ...] = (qualname,)
+            what = _NON_EVENTS.get(yielded.kind)
+            if what is None and yielded.kind.startswith("unpicklable:"):
+                what = "a " + yielded.kind.split(":", 1)[1].replace("-", " ")
+            if what is not None:
+                message = (
+                    f"sim process yields {what} on this path; "
+                    "every yield must produce an Event "
+                    "(env.timeout/env.event/...)"
+                )
+            elif yielded.kind.startswith("call:"):
+                callee = program.resolve_function(
+                    yielded.kind[len("call:"):]
+                )
+                if (
+                    callee is not None
+                    and events.get(callee.qualname) == "value"
                 ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"float equality against literal "
-                        f"{operand.value!r}; use math.isclose or an "
-                        "explicit tolerance",
+                    message = (
+                        f"sim process yields the return of "
+                        f"{callee.qualname}(), which returns a plain "
+                        "value, never an Event"
                     )
-                    break
-
-
-#: Module prefixes that spawn OS processes or threads directly.
-_PROCESS_POOL_MODULES = ("multiprocessing", "concurrent.futures")
-
-
-@register
-class ProcessPoolRule(LintRule):
-    """FELA006: process fan-out lives in ``repro.exec`` only.
-
-    ``repro.exec.SweepExecutor`` is the one sanctioned multiprocessing
-    site: it pins the spawn start method, re-orders results to match
-    job order, and routes every computed value through the persistent
-    result cache.  A second, private pool elsewhere in the package
-    would bypass all three guarantees, so importing or invoking
-    ``multiprocessing`` / ``concurrent.futures`` anywhere else in
-    ``repro`` is flagged.
-    """
-
-    rule_id = "FELA006"
-    summary = (
-        "no direct multiprocessing/concurrent.futures use outside "
-        "repro.exec; go through repro.exec.SweepExecutor"
-    )
-    node_types = (ast.Import, ast.ImportFrom, ast.Call)
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_package("repro") and not ctx.in_package("repro.exec")
-
-    @staticmethod
-    def _is_pool_module(dotted: str) -> bool:
-        return any(
-            dotted == mod or dotted.startswith(mod + ".")
-            for mod in _PROCESS_POOL_MODULES
-        )
-
-    def check_node(self, node, ctx):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if self._is_pool_module(alias.name):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"import of {alias.name!r} outside repro.exec; "
-                        "fan work out through repro.exec.SweepExecutor",
+                    trace = (qualname, callee.qualname)
+            elif yielded.kind.startswith("class:"):
+                target = yielded.kind[len("class:"):]
+                if target in program.classes and not program.derives_from(
+                    target, EVENT_ROOTS
+                ):
+                    message = (
+                        f"sim process yields a {target} instance, "
+                        "which is not an Event subclass"
                     )
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and node.module and self._is_pool_module(
-                node.module
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"import from {node.module!r} outside repro.exec; "
-                    "fan work out through repro.exec.SweepExecutor",
+                    trace = (qualname, target)
+            if message is not None:
+                yield Finding(
+                    path=facts.path,
+                    line=yielded.line,
+                    col=yielded.col,
+                    rule_id="FELA104",
+                    message=message,
+                    trace=trace,
                 )
-        else:
-            assert isinstance(node, ast.Call)
-            origin = ctx.resolve(node.func)
-            if origin is not None and self._is_pool_module(origin):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"{origin}() spawns workers outside repro.exec; "
-                    "use repro.exec.SweepExecutor instead",
-                )
+
+
+# -- FELA105 -----------------------------------------------------------------
+
+
+def _fela105(program: Program) -> _t.Iterator[Finding]:
+    for qualname in sorted(program.functions):
+        facts = program.functions[qualname]
+        if not facts.is_generator:
+            continue
+        if not in_packages(facts.module, SIM_PACKAGES):
+            continue
+        for acquire in facts.acquires:
+            if acquire.released:
+                continue
+            yield Finding(
+                path=facts.path,
+                line=acquire.line,
+                col=acquire.col,
+                rule_id="FELA105",
+                message=(
+                    f"{acquire.receiver}.request() result "
+                    f"{acquire.var!r} is never released or cancelled "
+                    "in this generator; a crash or early return leaks "
+                    "the resource (use 'with ...request() as ...:')"
+                ),
+                trace=(qualname,),
+            )

@@ -24,10 +24,10 @@ Commands map onto the library's public API:
     ``--exhaustive`` restores the full sweep.
 ``cache {stats,ls,clear}``
     Inspect or empty the persistent result cache.
-``analyze [PATHS...] [--flow] [--select IDS] [--format {text,json}]``
-    The FELA determinism lint pass (see :mod:`repro.analysis`);
-    ``--flow`` runs the whole-program FELA1xx rules instead and
-    ``--list-rules`` lists both rule sets.  Exit 1 on any finding.
+``analyze [PATHS...] [--format {text,json}]``
+    The FELA determinism analyzer (see :mod:`repro.analysis`): the
+    per-file FELA00x and whole-program FELA1xx rules over one parse;
+    ``--list-rules`` lists them.  Exit 1 on any finding.
 ``bench [--compare BASELINE --fail-on-regress PCT] [--profile]``
     The performance lab (see :mod:`repro.perf`): run deterministic
     benchmark scenarios, append them to a regression store, compare
@@ -228,7 +228,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
         iterations=args.iterations,
     )
     tracer = Tracer() if args.trace_out else None
-    sampler = Sampler(args.sample) if args.sample else None
+    sampler = Sampler(args.sample) if args.sample is not None else None
     faults = None
     injector = parse_faults(args.faults)
     if injector is not None:
@@ -315,7 +315,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     )
     tracer = Tracer()
     metrics = MetricsRegistry()
-    sampler = Sampler(args.sample) if args.sample else None
+    sampler = Sampler(args.sample) if args.sample is not None else None
     result = runner.run(
         "fela",
         spec,
@@ -389,22 +389,11 @@ def _cmd_figures(args: argparse.Namespace) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.analysis.linter import format_rules, run_lint
+    from repro.analysis.engine import format_rules, run_analyze
 
     if args.list_rules:
-        lines = [format_rules()]
-        from repro.analysis.flow.rules import FLOW_RULES
-
-        for rule_id in sorted(FLOW_RULES):
-            lines.append(f"{rule_id}  {FLOW_RULES[rule_id]}")
-        return "\n".join(lines), 0
-    if args.flow:
-        from repro.analysis.flow.cli import run_flow
-
-        return run_flow(args.paths, output_format=args.format)
-    return run_lint(
-        args.paths, output_format=args.format, select=args.select
-    )
+        return format_rules(), 0
+    return run_analyze(args.paths, output_format=args.format)
 
 
 def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
@@ -862,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     analyze = sub.add_parser(
-        "analyze", help="run the FELA determinism lint rules"
+        "analyze", help="run the FELA determinism analyzer"
     )
     analyze.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories"
@@ -870,15 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
-    analyze.add_argument(
-        "--select", default=None, help="comma-separated rule ids"
-    )
     analyze.add_argument("--list-rules", action="store_true")
-    analyze.add_argument(
-        "--flow", action="store_true",
-        help="run the whole-program FELA1xx flow rules instead of the "
-        "per-file syntactic rules",
-    )
 
     bench = sub.add_parser(
         "bench", help="deterministic performance benchmarks"
@@ -1028,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Handlers return the report text, optionally with an explicit exit
-#: code (the ``analyze`` command exits 1 when violations are found).
+#: code (the ``analyze`` command exits 1 when findings are reported).
 _COMMANDS: dict[
     str, _t.Callable[[argparse.Namespace], str | tuple[str, int]]
 ] = {

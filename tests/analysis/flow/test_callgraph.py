@@ -1,6 +1,6 @@
 """Whole-program model: resolution, taint fixed point, event kinds."""
 
-from repro.analysis.flow.callgraph import (
+from repro.analysis.callgraph import (
     CallGraph,
     EVENT_ROOTS,
     Program,
@@ -9,7 +9,7 @@ from repro.analysis.flow.callgraph import (
     return_taint,
     state_closure,
 )
-from repro.analysis.flow.facts import KIND_WALL, extract_module_facts
+from repro.analysis.facts import KIND_WALL, extract_module_facts
 
 
 def program_of(*files):

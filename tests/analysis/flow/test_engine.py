@@ -1,14 +1,18 @@
 """The analyze_paths driver: fixtures, noqa, parse errors."""
 
-import pathlib
+import pytest
 
-from repro.analysis.flow import analyze_paths
+from repro.analysis import analyze_paths
+from tests.analysis.flow.fixture_tree import write_fixture_tree
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+@pytest.fixture()
+def fixtures(tmp_path):
+    return write_fixture_tree(tmp_path)
 
 
-def test_fixture_tree_yields_exactly_the_seeded_bugs():
-    report = analyze_paths([FIXTURES])
+def test_fixture_tree_yields_exactly_the_seeded_bugs(fixtures):
+    report = analyze_paths([fixtures])
     by_rule = {}
     for finding in report.findings:
         by_rule.setdefault(finding.rule_id, []).append(finding)
@@ -29,16 +33,16 @@ def test_fixture_tree_yields_exactly_the_seeded_bugs():
     )
 
 
-def test_clean_fixture_module_contributes_no_findings():
-    report = analyze_paths([FIXTURES])
+def test_clean_fixture_module_contributes_no_findings(fixtures):
+    report = analyze_paths([fixtures])
     assert not any(
         finding.path.endswith("clean.py")
         for finding in report.findings
     )
 
 
-def test_findings_are_sorted_and_unique():
-    report = analyze_paths([FIXTURES])
+def test_findings_are_sorted_and_unique(fixtures):
+    report = analyze_paths([fixtures])
     assert report.findings == sorted(set(report.findings))
 
 

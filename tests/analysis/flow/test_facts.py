@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.analysis.flow.facts import (
+from repro.analysis.facts import (
     KIND_ENV,
     KIND_RNG,
     KIND_WALL,
+    SITE_POOL_CALL,
+    SITE_POOL_IMPORT,
     extract_module_facts,
     module_name,
 )
@@ -210,6 +212,75 @@ class TestCtorFacts:
             path="src/repro/exec/mod.py",
         )
         assert fn(module, "f").ctors == []
+
+
+class TestScopes:
+    def test_nested_defs_and_methods_get_their_own_facts(self):
+        module = facts_of(
+            "class Runner:\n"
+            "    def run(self, env):\n"
+            "        def train(wid):\n"
+            "            yield env.timeout(1.0)\n"
+            "            self.step(wid)\n"
+            "        class Probe:\n"
+            "            def poke(self):\n"
+            "                return 1\n"
+            "        return train\n"
+        )
+        names = sorted(f.qualname for f in module.functions)
+        assert names == [
+            "repro.sim.mod.Runner.run",
+            "repro.sim.mod.Runner.run.Probe.poke",
+            "repro.sim.mod.Runner.run.train",
+        ]
+        train = fn(module, "train")
+        assert train.is_generator
+        assert [sink.detail for sink in train.sinks] == ["env.timeout"]
+        # ``self`` inside a nested def is the enclosing method's.
+        assert train.calls == ["repro.sim.mod.Runner.step"]
+
+    def test_code_outside_functions_records_sites(self):
+        # Module level, class body, decorator, default and lambda.
+        module = facts_of(
+            "import random\n"
+            "import time\n"
+            "import multiprocessing\n"
+            "T0 = time.time()\n"
+            "class Cfg:\n"
+            "    seed = random.randint(0, 9)\n"
+            "@register(time.perf_counter())\n"
+            "def f(x=random.random(), g=lambda: time.monotonic()):\n"
+            "    return x\n"
+            "POOL = multiprocessing.Pool()\n"
+        )
+        sites = sorted(
+            (site.line, site.kind, site.detail) for site in module.sites
+        )
+        assert sites == [
+            (3, SITE_POOL_IMPORT, "multiprocessing"),
+            (4, KIND_WALL, "time.time"),
+            (6, KIND_RNG, "random.randint"),
+            (7, KIND_WALL, "time.perf_counter"),
+            (8, KIND_RNG, "random.random"),
+            (8, KIND_WALL, "time.monotonic"),
+            (10, SITE_POOL_CALL, "multiprocessing.Pool"),
+        ]
+        # Only real functions join the whole-program model.
+        assert [f.qualname for f in module.functions] == [
+            "repro.sim.mod.f"
+        ]
+
+    def test_bare_and_generator_yields_are_classified(self):
+        module = facts_of(
+            "def f(env, xs):\n"
+            "    yield\n"
+            "    yield (x for x in xs)\n"
+            "    yield env.timeout(1.0)\n"
+        )
+        kinds = [y.kind for y in fn(module, "f").yields_]
+        assert kinds == [
+            "none", "unpicklable:generator-expression", "event"
+        ]
 
 
 class TestRoundTrip:

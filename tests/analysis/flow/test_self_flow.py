@@ -1,20 +1,20 @@
-"""The codebase must satisfy its own flow rules, with no exceptions.
+"""The codebase must satisfy its own rules, with no exceptions.
 
-The syntactic twin lives in ``tests/analysis/test_self_lint.py``.  Here
-the whole-program analyzer sweeps ``src`` and must find nothing:
-introducing an interprocedural determinism hazard anywhere in the
-package fails this test (and the ``flow-analysis`` CI job) until it is
-fixed, or marked ``# repro: noqa-RULE`` on the line where the consumer
-is provably order- or value-insensitive.  The seeded fixture tree pins
-the other side: every planted bug is still found, and nothing else.
+``tests/analysis/test_self_lint.py`` sweeps every tree.  Here the
+analyzer sweeps ``src`` and must find nothing: introducing an
+interprocedural determinism hazard anywhere in the package fails this
+test (and the ``static-analysis`` CI job) until it is fixed, or marked
+``# repro: noqa-RULE`` on the line where the consumer is provably
+order- or value-insensitive.  The seeded fixture tree pins the other
+side: every planted bug is still found, and nothing else.
 """
 
 import pathlib
 
-from repro.analysis.flow import analyze_paths
+from repro.analysis import analyze_paths
+from tests.analysis.flow.fixture_tree import write_fixture_tree
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def test_src_has_no_flow_findings():
@@ -24,11 +24,12 @@ def test_src_has_no_flow_findings():
     )
 
 
-def test_fixture_tree_yields_exactly_the_six_seeded_findings():
-    report = analyze_paths([FIXTURES])
+def test_fixture_tree_yields_exactly_the_six_seeded_findings(tmp_path):
+    fixtures = write_fixture_tree(tmp_path)
+    report = analyze_paths([fixtures])
     found = [
         (
-            pathlib.Path(f.path).relative_to(FIXTURES).as_posix(),
+            pathlib.Path(f.path).relative_to(fixtures).as_posix(),
             f.line,
             f.col,
             f.rule_id,

@@ -1,10 +1,12 @@
-"""Per-rule unit tests: positive, negative, and noqa cases."""
+"""Per-file rule unit tests: positive, negative, and noqa cases.
+
+Each case runs the whole analyzer over one synthetic file; ``select``
+narrows the findings to one rule.
+"""
 
 import textwrap
 
-import pytest
-
-from repro.analysis import all_rules, get_rule, lint_source
+from repro.analysis import RULES, analyze_sources
 
 SIM_PATH = "src/repro/sim/module.py"
 CORE_PATH = "src/repro/core/module.py"
@@ -13,25 +15,28 @@ OTHER_PATH = "src/repro/harness/module.py"
 
 
 def lint(source, path=SIM_PATH, select=None):
-    rules = None if select is None else [get_rule(select)]
-    return lint_source(textwrap.dedent(source), path, rules)
+    report = analyze_sources({path: textwrap.dedent(source)})
+    return [
+        finding for finding in report.findings
+        if select is None or finding.rule_id == select
+    ]
 
 
 def rule_ids(violations):
     return [violation.rule_id for violation in violations]
 
 
-class TestRegistry:
-    def test_all_six_rules_registered(self):
-        ids = [rule.rule_id for rule in all_rules()]
-        assert ids == [
-            "FELA001", "FELA002", "FELA003", "FELA004", "FELA005",
-            "FELA006",
-        ]
+def spots(violations):
+    return [(violation.line, violation.col) for violation in violations]
 
-    def test_get_rule_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_rule("FELA999")
+
+class TestRuleTable:
+    def test_ten_rules_listed(self):
+        # FELA003 (sim-process yields) is part of FELA104.
+        assert list(RULES) == [
+            "FELA001", "FELA002", "FELA004", "FELA005", "FELA006",
+            "FELA101", "FELA102", "FELA103", "FELA104", "FELA105",
+        ]
 
 
 class TestWallClock:
@@ -161,6 +166,8 @@ class TestUnseededRandom:
 
 
 class TestSimProtocol:
+    """The sim-process yield cases, reported as FELA104."""
+
     def test_flags_literal_yield(self):
         violations = lint(
             """
@@ -168,7 +175,8 @@ class TestSimProtocol:
                 yield 5
             """
         )
-        assert rule_ids(violations) == ["FELA003"]
+        assert rule_ids(violations) == ["FELA104"]
+        assert spots(violations) == [(3, 5)]
 
     def test_flags_bare_yield_and_container(self):
         violations = lint(
@@ -178,7 +186,9 @@ class TestSimProtocol:
                 yield [env.timeout(1)]
             """
         )
-        assert rule_ids(violations) == ["FELA003", "FELA003"]
+        assert rule_ids(violations) == ["FELA104", "FELA104"]
+        assert spots(violations) == [(3, 5), (4, 5)]
+        assert "bare 'yield'" in violations[0].message
 
     def test_accepts_event_yields(self):
         violations = lint(
@@ -202,7 +212,9 @@ class TestSimProtocol:
             """
         )
         # The literal yield belongs to ``helper``, still flagged once.
-        assert rule_ids(violations) == ["FELA003"]
+        assert rule_ids(violations) == ["FELA104"]
+        assert spots(violations) == [(4, 9)]
+        assert violations[0].trace == ("repro.sim.module.outer.helper",)
 
     def test_not_scoped_to_metrics(self):
         violations = lint(
@@ -211,7 +223,7 @@ class TestSimProtocol:
                 yield "header"
             """,
             path=METRICS_PATH,
-            select="FELA003",
+            select="FELA104",
         )
         assert violations == []
 

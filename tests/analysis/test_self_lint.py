@@ -1,15 +1,15 @@
-"""The codebase must satisfy its own lint rules.
+"""The codebase must satisfy its own analysis rules, tree by tree.
 
 This is the repository's determinism contract as a test: any wall-clock
 read, unseeded RNG call, protocol-breaking yield, mutable default, or
-float-equality comparison introduced anywhere in ``src`` (or the test
-and benchmark trees) fails CI here, not in a flaky figure three PRs
-later.
+float-equality comparison introduced anywhere in ``src`` (or the test,
+benchmark and example trees) fails CI here, not in a flaky figure three
+PRs later.
 """
 
 import pathlib
 
-from repro.analysis import lint_paths
+from repro.analysis import analyze_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -17,7 +17,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 def _lint(relative: str):
     target = REPO_ROOT / relative
     assert target.exists(), f"missing tree: {target}"
-    return lint_paths([target])
+    return analyze_paths([target]).findings
 
 
 def test_src_is_clean():

@@ -97,6 +97,25 @@ class TestCommands:
         assert err.startswith("error: cannot open run ledger")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_non_positive_sample_interval_is_rejected(
+        self, command, interval, tmp_path, capsys, monkeypatch
+    ):
+        # 0 is an interval like any other, not "sampling off".
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("simulated despite a bad --sample")
+
+        monkeypatch.setattr(ExperimentRunner, "run", no_run)
+        args = [command, "vgg19", "--batch", "128", "--workers", "4",
+                "--iterations", "2", "--sample", interval]
+        if command == "trace":
+            args += ["--out", str(tmp_path / "trace.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample interval must be > 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_model_is_clean_error(self, capsys):
         assert main(["profile", "nonexistent"]) == 2
         assert "error:" in capsys.readouterr().err

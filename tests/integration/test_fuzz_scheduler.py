@@ -3,9 +3,12 @@
 The token machinery has the classic failure modes of work-stealing
 schedulers — deadlock (everyone waiting for tokens that will never be
 generated), double-assignment, lost tokens.  These tests sweep randomized
-configurations, policies, and straggler patterns and assert the global
-invariants: the run completes, every token of every iteration is trained
-exactly once, and the simulation stays deterministic.
+configurations, policies, and straggler patterns over every zoo model
+(the paper's partition where it publishes one, the bin partition
+otherwise), odd and prime worker counts and heterogeneous GPU speeds,
+and assert the global invariants: the run completes, every token of
+every iteration is trained exactly once, and the simulation stays
+deterministic.
 """
 
 import pytest
@@ -14,43 +17,56 @@ from hypothesis import strategies as st
 
 from repro.core import FelaConfig, FelaRuntime, SyncMode
 from repro.hardware import Cluster, ClusterSpec
-from repro.models import get_model
-from repro.partition import paper_partition
 from repro.stragglers import ProbabilityStraggler, TransientStraggler
-
-# Session-level partition (building VGG19 repeatedly is the slow part).
-_PARTITION = paper_partition(get_model("vgg19"))
-
-weight_choices = st.sampled_from(
-    [(1, 1, 1), (1, 1, 2), (1, 1, 8), (1, 2, 4), (1, 2, 8), (1, 4, 4),
-     (1, 4, 8), (1, 8, 8)]
+from tests.integration.zoo_strategies import (
+    models,
+    speeds_for,
+    weights_for,
+    worker_counts,
+    zoo_partition,
 )
 
 
+# Session-level partition (building VGG19 repeatedly is the slow part).
+_PARTITION = zoo_partition("vgg19")
+
+
+@st.composite
+def setups(draw):
+    """(model, workers, weights, cluster) for one randomized run."""
+    model = draw(models)
+    workers = draw(worker_counts)
+    weights = draw(weights_for(len(zoo_partition(model))))
+    speeds = draw(speeds_for(workers))
+    spec = ClusterSpec(num_nodes=workers, gpu_speed_factors=speeds)
+    return model, workers, weights, spec
+
+
 @given(
-    weights=weight_choices,
+    setup=setups(),
     total_batch=st.sampled_from([64, 128, 256, 512]),
-    subset=st.integers(min_value=0, max_value=8),
+    subset=st.integers(min_value=0, max_value=13),
     ads=st.booleans(),
     hf=st.booleans(),
     ctd=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_any_valid_config_completes_exactly(
-    weights, total_batch, subset, ads, hf, ctd
+    setup, total_batch, subset, ads, hf, ctd
 ):
+    model, workers, weights, spec = setup
     config = FelaConfig(
-        partition=_PARTITION,
+        partition=zoo_partition(model),
         total_batch=total_batch,
-        num_workers=8,
+        num_workers=workers,
         weights=weights,
-        conditional_subset_size=subset,
+        conditional_subset_size=min(subset, workers),
         ads_enabled=ads,
         hf_enabled=hf,
         ctd_enabled=ctd,
         iterations=2,
     )
-    result = FelaRuntime(config).run()
+    result = FelaRuntime(config, Cluster(spec)).run()
     expected_tokens = sum(config.token_counts())
     for record in result.records:
         assert sum(record.work_by_worker) == expected_tokens
@@ -58,43 +74,50 @@ def test_any_valid_config_completes_exactly(
 
 
 @given(
+    setup=setups(),
     probability=st.floats(min_value=0.0, max_value=1.0),
     delay=st.floats(min_value=0.0, max_value=20.0),
     seed=st.integers(min_value=0, max_value=1000),
 )
 @settings(max_examples=15, deadline=None)
-def test_any_straggler_pattern_completes(probability, delay, seed):
+def test_any_straggler_pattern_completes(setup, probability, delay, seed):
+    model, workers, weights, spec = setup
     config = FelaConfig(
-        partition=_PARTITION,
+        partition=zoo_partition(model),
         total_batch=256,
-        num_workers=8,
-        weights=(1, 2, 8),
+        num_workers=workers,
+        weights=weights,
         conditional_subset_size=2,
         iterations=3,
     )
     injector = ProbabilityStraggler(probability, delay, seed=seed)
-    result = FelaRuntime(config, straggler=injector).run()
+    result = FelaRuntime(
+        config, Cluster(spec), straggler=injector
+    ).run()
     expected_tokens = sum(config.token_counts())
     for record in result.records:
         assert sum(record.work_by_worker) == expected_tokens
 
 
-@given(seed=st.integers(min_value=0, max_value=100))
+@given(setup=setups(), seed=st.integers(min_value=0, max_value=100))
 @settings(max_examples=10, deadline=None)
-def test_determinism_under_randomized_stragglers(seed):
+def test_determinism_under_randomized_stragglers(setup, seed):
     """Same seed -> bit-identical run; the straggler RNG is the only
     randomness and it is seeded."""
+    model, workers, weights, spec = setup
 
     def run():
         config = FelaConfig(
-            partition=_PARTITION,
+            partition=zoo_partition(model),
             total_batch=128,
-            num_workers=8,
-            weights=(1, 2, 8),
+            num_workers=workers,
+            weights=weights,
             iterations=2,
         )
         injector = TransientStraggler(5.0, hits=3, seed=seed)
-        return FelaRuntime(config, straggler=injector).run()
+        return FelaRuntime(
+            config, Cluster(spec), straggler=injector
+        ).run()
 
     first, second = run(), run()
     assert first.total_time == second.total_time
