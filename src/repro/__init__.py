@@ -36,46 +36,51 @@ Quickstart::
         print(kind, result.average_throughput)
 """
 
-from repro.analysis import InvariantChecker
-from repro.baselines import DataParallel, HybridParallel, ModelParallel
-from repro.core import (
-    FelaConfig,
-    FelaRuntime,
-    PipelinedFelaRuntime,
-    SyncMode,
-)
-from repro.errors import (
-    AnalysisError,
-    BenchmarkError,
-    CapacityError,
-    ConfigurationError,
-    InvariantViolation,
-    ObservabilityError,
-    PartitionError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    TuningError,
-)
-from repro.hardware import Cluster, ClusterSpec, GpuSpec
-from repro.harness import ExperimentRunner, ExperimentSpec
-from repro.metrics import RunResult, average_throughput, per_iteration_delay
-from repro.models import ModelGraph, available_models, get_model
-from repro.obs import (
-    MetricsRegistry,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-)
-from repro.partition import Partition, SubModel, bin_partition, paper_partition
-from repro.profiling import ThroughputProfiler
-from repro.stragglers import (
-    NoStraggler,
-    ProbabilityStraggler,
-    RoundRobinStraggler,
-    TransientStraggler,
-)
-from repro.tuning import ConfigurationTuner
+import typing as _t
+
+from repro._lazy import lazy_exports
+
+if _t.TYPE_CHECKING:
+    from repro.analysis import InvariantChecker
+    from repro.baselines import DataParallel, HybridParallel, ModelParallel
+    from repro.core import (
+        FelaConfig,
+        FelaRuntime,
+        PipelinedFelaRuntime,
+        SyncMode,
+    )
+    from repro.errors import (
+        AnalysisError,
+        BenchmarkError,
+        CapacityError,
+        ConfigurationError,
+        InvariantViolation,
+        ObservabilityError,
+        PartitionError,
+        ReproError,
+        SchedulingError,
+        SimulationError,
+        TuningError,
+    )
+    from repro.hardware import Cluster, ClusterSpec, GpuSpec
+    from repro.harness import ExperimentRunner, ExperimentSpec
+    from repro.metrics import RunResult, average_throughput, per_iteration_delay
+    from repro.models import ModelGraph, available_models, get_model
+    from repro.obs import (
+        MetricsRegistry,
+        NullTracer,
+        TraceEvent,
+        Tracer,
+    )
+    from repro.partition import Partition, SubModel, bin_partition, paper_partition
+    from repro.profiling import ThroughputProfiler
+    from repro.stragglers import (
+        NoStraggler,
+        ProbabilityStraggler,
+        RoundRobinStraggler,
+        TransientStraggler,
+    )
+    from repro.tuning import ConfigurationTuner
 
 __version__ = "1.0.0"
 
@@ -126,3 +131,36 @@ __all__ = [
     "per_iteration_delay",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis": ("InvariantChecker",),
+        "repro.baselines": ("DataParallel", "HybridParallel", "ModelParallel"),
+        "repro.core": (
+            "FelaConfig", "FelaRuntime", "PipelinedFelaRuntime", "SyncMode",
+        ),
+        "repro.errors": (
+            "AnalysisError", "BenchmarkError", "CapacityError",
+            "ConfigurationError", "InvariantViolation", "ObservabilityError",
+            "PartitionError", "ReproError", "SchedulingError",
+            "SimulationError", "TuningError",
+        ),
+        "repro.hardware": ("Cluster", "ClusterSpec", "GpuSpec"),
+        "repro.harness": ("ExperimentRunner", "ExperimentSpec"),
+        "repro.metrics": (
+            "RunResult", "average_throughput", "per_iteration_delay",
+        ),
+        "repro.models": ("ModelGraph", "available_models", "get_model"),
+        "repro.obs": ("MetricsRegistry", "NullTracer", "TraceEvent", "Tracer"),
+        "repro.partition": (
+            "Partition", "SubModel", "bin_partition", "paper_partition",
+        ),
+        "repro.profiling": ("ThroughputProfiler",),
+        "repro.stragglers": (
+            "NoStraggler", "ProbabilityStraggler", "RoundRobinStraggler",
+            "TransientStraggler",
+        ),
+        "repro.tuning": ("ConfigurationTuner",),
+    },
+)

@@ -24,9 +24,14 @@ Two complementary halves:
   first conservation, sync-accounting or monotonicity breach.
 """
 
-from repro.analysis.engine import Report, analyze_paths, analyze_sources
-from repro.analysis.invariants import InvariantChecker
-from repro.analysis.rules import RULES, Finding
+import typing as _t
+
+from repro._lazy import lazy_exports
+
+if _t.TYPE_CHECKING:
+    from repro.analysis.engine import Report, analyze_paths, analyze_sources
+    from repro.analysis.invariants import InvariantChecker
+    from repro.analysis.rules import RULES, Finding
 
 __all__ = [
     "Finding",
@@ -36,3 +41,14 @@ __all__ = [
     "analyze_paths",
     "analyze_sources",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.engine": (
+            "Report", "analyze_paths", "analyze_sources",
+        ),
+        "repro.analysis.invariants": ("InvariantChecker",),
+        "repro.analysis.rules": ("RULES", "Finding"),
+    },
+)

@@ -41,13 +41,21 @@ class Program:
         self.modules: list[ModuleFacts] = sorted(
             modules, key=lambda m: m.path
         )
+        #: Every function definition, sorted by qualname.  Definitions
+        #: that share a qualname (a function redefined in one scope) all
+        #: stay: each is analyzed, and a call to the name may reach any.
+        self.definitions: list[FunctionFacts] = sorted(
+            (function for module in self.modules for function in module.functions),
+            key=lambda function: function.qualname,
+        )
+        #: qualname -> its first definition (the name table for resolution)
         self.functions: dict[str, FunctionFacts] = {}
+        for function in self.definitions:
+            self.functions.setdefault(function.qualname, function)
         self.classes: dict[str, ClassFacts] = {}
         #: bare class name -> qualnames (for resolving unqualified bases)
         self._class_names: dict[str, list[str]] = {}
         for module in self.modules:
-            for function in module.functions:
-                self.functions[function.qualname] = function
             for cls in module.classes:
                 self.classes[cls.qualname] = cls
                 self._class_names.setdefault(
@@ -119,14 +127,12 @@ class CallGraph:
 
     def __init__(self, program: Program) -> None:
         self.successors: dict[str, set[str]] = {}
-        for qualname in sorted(program.functions):
-            function = program.functions[qualname]
-            edges = set()
+        for function in program.definitions:
+            edges = self.successors.setdefault(function.qualname, set())
             for call in function.calls:
                 callee = program.resolve_function(call)
                 if callee is not None:
                     edges.add(callee.qualname)
-            self.successors[qualname] = edges
 
 
 TaintMap = dict[str, dict[str, tuple[str, ...]]]
@@ -140,19 +146,16 @@ def return_taint(program: Program) -> TaintMap:
     meaning ``f`` returns taint because it returns ``g()`` and ``g``
     reads the source directly.
     """
-    taint: TaintMap = {}
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
-        local: dict[str, tuple[str, ...]] = {}
+    taint: TaintMap = {qualname: {} for qualname in program.functions}
+    for facts in program.definitions:
         for atom in facts.return_atoms:
             if atom in CONCRETE_KINDS:
-                local[atom] = (qualname,)
-        taint[qualname] = local
+                taint[facts.qualname][atom] = (facts.qualname,)
     changed = True
     while changed:
         changed = False
-        for qualname in sorted(program.functions):
-            facts = program.functions[qualname]
+        for facts in program.definitions:
+            qualname = facts.qualname
             for atom in facts.return_atoms:
                 if not atom.startswith("call:"):
                     continue
@@ -195,11 +198,13 @@ def event_kinds(program: Program) -> dict[str, str]:
     unknowns — the rule only fires on certainty).
     """
     VALUE_KINDS = {"value", "set", "none", "param"}
+    # qualname -> (has_event, has_value, has_unknown) over all its
+    # definitions' returns
     state: dict[str, tuple[bool, bool, bool]] = {}
-    # (has_event, has_value, has_unknown)
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
-        has_event = has_value = has_unknown = False
+    for facts in program.definitions:
+        has_event, has_value, has_unknown = state.get(
+            facts.qualname, (False, False, False)
+        )
         for kind in facts.returns:
             if kind == "event":
                 has_event = True
@@ -217,12 +222,12 @@ def event_kinds(program: Program) -> dict[str, str]:
                 pass  # resolved below
             else:
                 has_unknown = True
-        state[qualname] = (has_event, has_value, has_unknown)
+        state[facts.qualname] = (has_event, has_value, has_unknown)
     changed = True
     while changed:
         changed = False
-        for qualname in sorted(program.functions):
-            facts = program.functions[qualname]
+        for facts in program.definitions:
+            qualname = facts.qualname
             has_event, has_value, has_unknown = state[qualname]
             for kind in facts.returns:
                 if not kind.startswith("call:"):
@@ -257,8 +262,8 @@ def event_kinds(program: Program) -> dict[str, str]:
 def state_closure(program: Program, graph: CallGraph) -> set[str]:
     """Functions that (transitively) mutate scheduling-order state."""
     closure = {
-        qualname
-        for qualname, facts in program.functions.items()
+        facts.qualname
+        for facts in program.definitions
         if facts.touches_state
     }
     changed = True

@@ -112,7 +112,7 @@ def analyze_sources(sources: _t.Mapping[str, str]) -> Report:
     return Report(
         findings=sorted(set(kept)),
         files=len(sources),
-        functions=len(program.functions),
+        functions=len(program.definitions),
     )
 
 

@@ -219,8 +219,8 @@ def _per_file(module: ModuleFacts) -> _t.Iterator[Finding]:
 def _fela101(
     program: Program, taint: _t.Any
 ) -> _t.Iterator[Finding]:
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
+    for facts in program.definitions:
+        qualname = facts.qualname
         if not in_packages(facts.module, SIM_PACKAGES):
             continue
         for sink in facts.sinks:
@@ -249,8 +249,8 @@ def _fela101(
 def _fela102(
     program: Program, stateful: set[str]
 ) -> _t.Iterator[Finding]:
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
+    for facts in program.definitions:
+        qualname = facts.qualname
         if not facts.module.startswith("repro"):
             continue
         for loop in facts.loops:
@@ -290,8 +290,8 @@ def _fela102(
 
 
 def _fela103(program: Program) -> _t.Iterator[Finding]:
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
+    for facts in program.definitions:
+        qualname = facts.qualname
         for ctor in facts.ctors:
             if not program.derives_from(ctor.callee, JOBSPEC_ROOTS):
                 continue
@@ -325,8 +325,8 @@ _NON_EVENTS = {
 def _fela104(
     program: Program, events: dict[str, str]
 ) -> _t.Iterator[Finding]:
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
+    for facts in program.definitions:
+        qualname = facts.qualname
         if not facts.is_generator:
             continue
         for yielded in facts.yields_:
@@ -380,8 +380,8 @@ def _fela104(
 
 
 def _fela105(program: Program) -> _t.Iterator[Finding]:
-    for qualname in sorted(program.functions):
-        facts = program.functions[qualname]
+    for facts in program.definitions:
+        qualname = facts.qualname
         if not facts.is_generator:
             continue
         if not in_packages(facts.module, SIM_PACKAGES):

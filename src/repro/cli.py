@@ -55,26 +55,16 @@ mirrors sweep heartbeats to stderr without changing stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import pathlib
 import sys
 import typing as _t
 
 from repro.errors import ConfigurationError, ReproError
-from repro.faults import parse_faults
-from repro.harness import (
-    ExperimentRunner,
-    ExperimentSpec,
-    fig8,
-    render_table,
-)
-from repro.models import available_models, get_model
-from repro.partition import bin_partition, paper_partition
-from repro.profiling import ThroughputProfiler
-from repro.stragglers import (
-    NoStraggler,
-    ProbabilityStraggler,
-    RoundRobinStraggler,
-    StragglerInjector,
-)
+from repro.harness.report import render_table
+
+if _t.TYPE_CHECKING:
+    from repro.stragglers import StragglerInjector
 
 
 def parse_straggler(text: str | None) -> StragglerInjector:
@@ -83,6 +73,12 @@ def parse_straggler(text: str | None) -> StragglerInjector:
     >>> parse_straggler("rr:6").delay
     6.0
     """
+    from repro.stragglers import (
+        NoStraggler,
+        ProbabilityStraggler,
+        RoundRobinStraggler,
+    )
+
     if not text or text == "none":
         return NoStraggler()
     parts = text.split(":")
@@ -99,26 +95,44 @@ def parse_straggler(text: str | None) -> StragglerInjector:
     )
 
 
-def _open_ledger(args: argparse.Namespace) -> _t.Any:
-    """The ``--ledger`` run ledger, or None when the flag is absent."""
+@contextlib.contextmanager
+def _command_ledger(args: argparse.Namespace) -> _t.Iterator[_t.Any]:
+    """The ``--ledger`` run ledger for one command (None without the flag).
+
+    Opened up front, so a bad path fails before any simulation, and
+    closed when the command ends.  If the command fails, a ledger file
+    this invocation created and recorded nothing in is removed again;
+    an existing ledger keeps its rows.
+    """
     path = getattr(args, "ledger", None)
     if not path:
-        return None
+        yield None
+        return
     from repro.store import RunLedger
 
-    return RunLedger(path)
+    created = not pathlib.Path(path).exists()
+    ledger = RunLedger(path)
+    try:
+        yield ledger
+    except BaseException:
+        discard = created and ledger.is_empty()
+        ledger.close()
+        if discard:
+            ledger.path.unlink(missing_ok=True)
+        raise
+    ledger.close()
 
 
-def _sweep_executor(args: argparse.Namespace) -> _t.Any:
+def _sweep_executor(args: argparse.Namespace, ledger: _t.Any) -> _t.Any:
     """Build the SweepExecutor the ``--jobs``/cache flags describe.
 
     ``--no-cache`` keeps a memory-only cache (results are still shared
     within the invocation); otherwise the persistent cache lives in
     ``--cache-dir``, ``$REPRO_CACHE_DIR``, or ``~/.cache/fela-repro``.
     A ``--jobs`` value above the host's CPU count is capped with a
-    warning on stderr.  ``--ledger`` streams per-job heartbeat rows
-    into a run ledger and ``--progress`` mirrors them as stderr lines;
-    neither changes a byte of the stdout report.
+    warning on stderr.  Per-job heartbeat rows stream into ``ledger``
+    (see :func:`_command_ledger`) and ``--progress`` mirrors them as
+    stderr lines; neither changes a byte of the stdout report.
     """
     from repro.exec import (
         ResultCache,
@@ -137,7 +151,7 @@ def _sweep_executor(args: argparse.Namespace) -> _t.Any:
     return SweepExecutor(
         jobs=jobs,
         cache=ResultCache(directory),
-        ledger=_open_ledger(args),
+        ledger=ledger,
         sweep_label=getattr(args, "command", "sweep") or "sweep",
         progress=getattr(args, "progress", False),
     )
@@ -184,10 +198,15 @@ def parse_batches(text: str) -> list[int]:
 
 
 def _cmd_list_models(_args: argparse.Namespace) -> str:
+    from repro.models import available_models
+
     return "\n".join(available_models())
 
 
 def _cmd_profile(args: argparse.Namespace) -> str:
+    from repro.models import get_model
+    from repro.profiling import ThroughputProfiler
+
     model = get_model(args.model)
     profiler = ThroughputProfiler()
     rows = [
@@ -202,6 +221,9 @@ def _cmd_profile(args: argparse.Namespace) -> str:
 
 
 def _cmd_partition(args: argparse.Namespace) -> str:
+    from repro.models import get_model
+    from repro.partition import bin_partition, paper_partition
+
     model = get_model(args.model)
     lines = []
     try:
@@ -216,72 +238,73 @@ def _cmd_partition(args: argparse.Namespace) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from repro.faults import parse_faults
+    from repro.harness import ExperimentRunner, ExperimentSpec
     from repro.obs import Sampler, Tracer, write_chrome_trace
 
     # Open the ledger first: a bad path fails before any simulation.
-    ledger = _open_ledger(args)
-    runner = ExperimentRunner()
-    spec = ExperimentSpec(
-        model_name=args.model,
-        total_batch=args.batch,
-        num_workers=args.workers,
-        iterations=args.iterations,
-    )
-    tracer = Tracer() if args.trace_out else None
-    sampler = Sampler(args.sample) if args.sample is not None else None
-    faults = None
-    injector = parse_faults(args.faults)
-    if injector is not None:
-        from repro.faults import FaultController
-
-        faults = FaultController(injector)
-    invariants = None
-    if args.check_invariants:
-        from repro.analysis.invariants import InvariantChecker
-
-        invariants = InvariantChecker()
-    result = runner.run(
-        args.runtime,
-        spec,
-        parse_straggler(args.straggler),
-        tracer=tracer,
-        faults=faults,
-        invariants=invariants,
-        sampler=sampler,
-    )
-    rows = [
-        ["runtime", result.runtime_name],
-        ["model", result.model_name],
-        ["total batch", result.total_batch],
-        ["iterations", result.iterations],
-        ["total time (s)", result.total_time],
-        ["AT (samples/s)", result.average_throughput],
-        ["s/iteration", result.mean_iteration_time],
-    ]
-    summary = result.stats.get("faults")
-    if summary is not None:
-        rows += [
-            ["workers failed", len(summary["failures"])],
-            ["workers joined", len(summary["joined"])],
-            ["workers left", len(summary["left"])],
-            ["tokens reclaimed", summary["tokens_reclaimed"]],
-            ["tokens re-minted", summary["tokens_reminted"]],
-            ["lost compute (s)", summary["lost_compute_seconds"]],
-        ]
-    table = render_table(["Metric", "Value"], rows)
-    if sampler is not None:
-        table += f"\nsampled {len(sampler.samples)} gauge points"
-    if tracer is not None:
-        count = write_chrome_trace(
-            args.trace_out,
-            tracer.events,
-            samples=sampler.samples if sampler is not None else (),
+    with _command_ledger(args) as ledger:
+        runner = ExperimentRunner()
+        spec = ExperimentSpec(
+            model_name=args.model,
+            total_batch=args.batch,
+            num_workers=args.workers,
+            iterations=args.iterations,
         )
-        table += f"\nwrote {count} trace events to {args.trace_out}"
-    if ledger is not None:
-        from repro.store import run_row_from_result
+        tracer = Tracer() if args.trace_out else None
+        sampler = Sampler(args.sample) if args.sample is not None else None
+        faults = None
+        injector = parse_faults(args.faults)
+        if injector is not None:
+            from repro.faults import FaultController
 
-        with ledger:
+            faults = FaultController(injector)
+        invariants = None
+        if args.check_invariants:
+            from repro.analysis.invariants import InvariantChecker
+
+            invariants = InvariantChecker()
+        result = runner.run(
+            args.runtime,
+            spec,
+            parse_straggler(args.straggler),
+            tracer=tracer,
+            faults=faults,
+            invariants=invariants,
+            sampler=sampler,
+        )
+        rows = [
+            ["runtime", result.runtime_name],
+            ["model", result.model_name],
+            ["total batch", result.total_batch],
+            ["iterations", result.iterations],
+            ["total time (s)", result.total_time],
+            ["AT (samples/s)", result.average_throughput],
+            ["s/iteration", result.mean_iteration_time],
+        ]
+        summary = result.stats.get("faults")
+        if summary is not None:
+            rows += [
+                ["workers failed", len(summary["failures"])],
+                ["workers joined", len(summary["joined"])],
+                ["workers left", len(summary["left"])],
+                ["tokens reclaimed", summary["tokens_reclaimed"]],
+                ["tokens re-minted", summary["tokens_reminted"]],
+                ["lost compute (s)", summary["lost_compute_seconds"]],
+            ]
+        table = render_table(["Metric", "Value"], rows)
+        if sampler is not None:
+            table += f"\nsampled {len(sampler.samples)} gauge points"
+        if tracer is not None:
+            count = write_chrome_trace(
+                args.trace_out,
+                tracer.events,
+                samples=sampler.samples if sampler is not None else (),
+            )
+            table += f"\nwrote {count} trace events to {args.trace_out}"
+        if ledger is not None:
+            from repro.store import run_row_from_result
+
             run_id = ledger.record_run(
                 command="run",
                 kind=args.runtime,
@@ -291,11 +314,12 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 samples=sampler.samples if sampler is not None else (),
                 events=tracer.events if tracer is not None else (),
             )
-        table += f"\nrecorded run {run_id} in {args.ledger}"
-    return table
+            table += f"\nrecorded run {run_id} in {args.ledger}"
+        return table
 
 
 def _cmd_trace(args: argparse.Namespace) -> str:
+    from repro.harness import ExperimentRunner, ExperimentSpec
     from repro.obs import (
         MetricsRegistry,
         Sampler,
@@ -305,39 +329,38 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         write_metrics_csv,
     )
 
-    ledger = _open_ledger(args)
-    runner = ExperimentRunner()
-    spec = ExperimentSpec(
-        model_name=args.model,
-        total_batch=args.batch,
-        num_workers=args.workers,
-        iterations=args.iterations,
-    )
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    sampler = Sampler(args.sample) if args.sample is not None else None
-    result = runner.run(
-        "fela",
-        spec,
-        parse_straggler(args.straggler),
-        tracer=tracer,
-        metrics=metrics,
-        sampler=sampler,
-    )
-    lines = []
-    count = write_chrome_trace(
-        args.out,
-        tracer.events,
-        samples=sampler.samples if sampler is not None else (),
-    )
-    lines.append(f"wrote {count} trace events to {args.out}")
-    if args.metrics_csv:
-        write_metrics_csv(args.metrics_csv, metrics)
-        lines.append(f"wrote metrics CSV to {args.metrics_csv}")
-    if ledger is not None:
-        from repro.store import run_row_from_result
+    with _command_ledger(args) as ledger:
+        runner = ExperimentRunner()
+        spec = ExperimentSpec(
+            model_name=args.model,
+            total_batch=args.batch,
+            num_workers=args.workers,
+            iterations=args.iterations,
+        )
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        sampler = Sampler(args.sample) if args.sample is not None else None
+        result = runner.run(
+            "fela",
+            spec,
+            parse_straggler(args.straggler),
+            tracer=tracer,
+            metrics=metrics,
+            sampler=sampler,
+        )
+        lines = []
+        count = write_chrome_trace(
+            args.out,
+            tracer.events,
+            samples=sampler.samples if sampler is not None else (),
+        )
+        lines.append(f"wrote {count} trace events to {args.out}")
+        if args.metrics_csv:
+            write_metrics_csv(args.metrics_csv, metrics)
+            lines.append(f"wrote metrics CSV to {args.metrics_csv}")
+        if ledger is not None:
+            from repro.store import run_row_from_result
 
-        with ledger:
             run_id = ledger.record_run(
                 command="trace",
                 kind="fela",
@@ -347,24 +370,29 @@ def _cmd_trace(args: argparse.Namespace) -> str:
                 samples=sampler.samples if sampler is not None else (),
                 events=tracer.events,
             )
-        lines.append(f"recorded run {run_id} in {args.ledger}")
+            lines.append(f"recorded run {run_id} in {args.ledger}")
     lines.append("")
     lines.append(render_run_report(result, tracer.events, metrics))
     return "\n".join(lines)
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
-    runner = ExperimentRunner(executor=_sweep_executor(args))
-    result = fig8(
-        args.model,
-        batches=parse_batches(args.batches),
-        iterations=args.iterations,
-        runner=runner,
-    )
+    from repro.harness import ExperimentRunner, fig8
+
+    batches = parse_batches(args.batches)
+    with _command_ledger(args) as ledger:
+        runner = ExperimentRunner(executor=_sweep_executor(args, ledger))
+        result = fig8(
+            args.model,
+            batches=batches,
+            iterations=args.iterations,
+            runner=runner,
+        )
     return result.render()
 
 
 def _cmd_figures(args: argparse.Namespace) -> str:
+    from repro.harness import ExperimentRunner
     from repro.harness.registry import REGISTRY, generate_artifacts
 
     if args.list:
@@ -380,12 +408,13 @@ def _cmd_figures(args: argparse.Namespace) -> str:
         raise ConfigurationError(
             "pass artifact ids (see --list) or --list"
         )
-    runner = ExperimentRunner(executor=_sweep_executor(args))
-    return "\n\n".join(
-        generate_artifacts(
-            args.ids, runner=runner, iterations=args.iterations
+    with _command_ledger(args) as ledger:
+        runner = ExperimentRunner(executor=_sweep_executor(args, ledger))
+        return "\n\n".join(
+            generate_artifacts(
+                args.ids, runner=runner, iterations=args.iterations
+            )
         )
-    )
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
@@ -497,25 +526,27 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
 
 
 def _cmd_tune(args: argparse.Namespace) -> str:
+    from repro.harness import ExperimentRunner
     from repro.tuning import (
         PHASE1_EXHAUSTIVE,
         PHASE1_HALVING,
         ConfigurationTuner,
     )
 
-    executor = _sweep_executor(args)
-    partition = ExperimentRunner(executor=executor).partition(args.model)
-    tuner = ConfigurationTuner(
-        partition,
-        total_batch=args.batch,
-        num_workers=args.workers,
-        profile_iterations=args.profile_iterations,
-        executor=executor,
-    )
     strategy = (
         PHASE1_EXHAUSTIVE if args.exhaustive else PHASE1_HALVING
     )
-    result = tuner.tune(phase1=strategy)
+    with _command_ledger(args) as ledger:
+        executor = _sweep_executor(args, ledger)
+        partition = ExperimentRunner(executor=executor).partition(args.model)
+        tuner = ConfigurationTuner(
+            partition,
+            total_batch=args.batch,
+            num_workers=args.workers,
+            profile_iterations=args.profile_iterations,
+            executor=executor,
+        )
+        result = tuner.tune(phase1=strategy)
     rows = [
         [case.index, case.phase, str(case.weights), case.subset_size,
          case.per_iteration_time]
@@ -615,7 +646,6 @@ _CLUSTER_SUMMARY_HEADER = [
 def _cmd_cluster(args: argparse.Namespace) -> str:
     from repro.cluster import ClusterSimulator, generate_trace
 
-    ledger = _open_ledger(args)
     spec = _cluster_trace_spec(args)
     trace = generate_trace(spec)
     trace_desc = (
@@ -640,10 +670,10 @@ def _cmd_cluster(args: argparse.Namespace) -> str:
             if name.strip()
         ]
     )
-    results = [simulate(name) for name in schedulers]
     lines = []
-    if ledger is not None:
-        with ledger:
+    with _command_ledger(args) as ledger:
+        results = [simulate(name) for name in schedulers]
+        if ledger is not None:
             for result in results:
                 run_id = ledger.record_cluster_run(
                     result,

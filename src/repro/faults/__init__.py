@@ -11,28 +11,33 @@ Public surface:
 * Signals — :class:`WorkerCrash` / :class:`ReviveWork` interrupt causes.
 """
 
-from repro.faults.controller import FailureRecord, FaultController
-from repro.faults.injector import (
-    KIND_CRASH,
-    KIND_JOIN,
-    KIND_LEAVE,
-    CompositeFaultInjector,
-    FaultEvent,
-    FaultInjector,
-    FaultScript,
-    NoFaults,
-    ProbabilisticCrashes,
-    parse_faults,
-)
-from repro.faults.membership import (
-    ACTIVE,
-    DRAINING,
-    FAILED,
-    JOINING,
-    LEFT,
-    Membership,
-)
-from repro.faults.signals import FaultSignal, ReviveWork, WorkerCrash
+import typing as _t
+
+from repro._lazy import lazy_exports
+
+if _t.TYPE_CHECKING:
+    from repro.faults.controller import FailureRecord, FaultController
+    from repro.faults.injector import (
+        KIND_CRASH,
+        KIND_JOIN,
+        KIND_LEAVE,
+        CompositeFaultInjector,
+        FaultEvent,
+        FaultInjector,
+        FaultScript,
+        NoFaults,
+        ProbabilisticCrashes,
+        parse_faults,
+    )
+    from repro.faults.membership import (
+        ACTIVE,
+        DRAINING,
+        FAILED,
+        JOINING,
+        LEFT,
+        Membership,
+    )
+    from repro.faults.signals import FaultSignal, ReviveWork, WorkerCrash
 
 __all__ = [
     "ACTIVE",
@@ -57,3 +62,19 @@ __all__ = [
     "WorkerCrash",
     "parse_faults",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.controller": ("FailureRecord", "FaultController"),
+        "repro.faults.injector": (
+            "KIND_CRASH", "KIND_JOIN", "KIND_LEAVE", "CompositeFaultInjector",
+            "FaultEvent", "FaultInjector", "FaultScript", "NoFaults",
+            "ProbabilisticCrashes", "parse_faults",
+        ),
+        "repro.faults.membership": (
+            "ACTIVE", "DRAINING", "FAILED", "JOINING", "LEFT", "Membership",
+        ),
+        "repro.faults.signals": ("FaultSignal", "ReviveWork", "WorkerCrash"),
+    },
+)

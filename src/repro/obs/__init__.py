@@ -27,73 +27,78 @@ CLI entry points: ``repro trace <model>``, ``--trace-out`` on
 ``repro run``, and ``python -m repro.obs.validate`` for trace files.
 """
 
-from repro.obs.events import (
-    CAT_FAULT,
-    CAT_NETWORK,
-    CAT_STRAGGLER,
-    CAT_SYNC,
-    CAT_TOKEN,
-    CAT_TS,
-    CAT_WORKER,
-    EV_ALLREDUCE,
-    EV_ASSIGNED,
-    EV_BUFFERED,
-    EV_DELAY,
-    EV_FETCH,
-    EV_ITERATION_END,
-    EV_LEVEL_SYNCED,
-    EV_MINTED,
-    EV_REPORTED,
-    EV_SYNC_START,
-    EV_TOKEN_INVALIDATED,
-    EV_TOKEN_RECLAIMED,
-    EV_TOKEN_REMINTED,
-    EV_TRAINED,
-    EV_TRANSFER,
-    EV_TS_REQUEST,
-    EV_WORKER_FAILED,
-    EV_WORKER_JOINED,
-    EV_WORKER_LEFT,
-    TOKEN_LIFECYCLE,
-    TS_TRACK,
-    TraceEvent,
-)
-from repro.obs.exporters import (
-    chrome_trace,
-    complete_events,
-    dump_chrome_trace,
-    metrics_to_csv,
-    read_chrome_trace,
-    timeline_spans,
-    validate_chrome_trace,
-    verify_causal_chains,
-    write_chrome_trace,
-    write_metrics_csv,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.protocols import SpanSink
-from repro.obs.report import (
-    critical_path,
-    render_run_report,
-    straggler_attribution,
-)
-from repro.obs.timeseries import (
-    NULL_SAMPLER,
-    PHASE_CODES,
-    PHASE_NAMES,
-    SERIES,
-    NullSampler,
-    Sample,
-    Sampler,
-    series_keys,
-    series_points,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+import typing as _t
+
+from repro._lazy import lazy_exports
+
+if _t.TYPE_CHECKING:
+    from repro.obs.events import (
+        CAT_FAULT,
+        CAT_NETWORK,
+        CAT_STRAGGLER,
+        CAT_SYNC,
+        CAT_TOKEN,
+        CAT_TS,
+        CAT_WORKER,
+        EV_ALLREDUCE,
+        EV_ASSIGNED,
+        EV_BUFFERED,
+        EV_DELAY,
+        EV_FETCH,
+        EV_ITERATION_END,
+        EV_LEVEL_SYNCED,
+        EV_MINTED,
+        EV_REPORTED,
+        EV_SYNC_START,
+        EV_TOKEN_INVALIDATED,
+        EV_TOKEN_RECLAIMED,
+        EV_TOKEN_REMINTED,
+        EV_TRAINED,
+        EV_TRANSFER,
+        EV_TS_REQUEST,
+        EV_WORKER_FAILED,
+        EV_WORKER_JOINED,
+        EV_WORKER_LEFT,
+        TOKEN_LIFECYCLE,
+        TS_TRACK,
+        TraceEvent,
+    )
+    from repro.obs.exporters import (
+        chrome_trace,
+        complete_events,
+        dump_chrome_trace,
+        metrics_to_csv,
+        read_chrome_trace,
+        timeline_spans,
+        validate_chrome_trace,
+        verify_causal_chains,
+        write_chrome_trace,
+        write_metrics_csv,
+    )
+    from repro.obs.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from repro.obs.protocols import SpanSink
+    from repro.obs.report import (
+        critical_path,
+        render_run_report,
+        straggler_attribution,
+    )
+    from repro.obs.timeseries import (
+        NULL_SAMPLER,
+        PHASE_CODES,
+        PHASE_NAMES,
+        SERIES,
+        NullSampler,
+        Sample,
+        Sampler,
+        series_keys,
+        series_points,
+    )
+    from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "CAT_FAULT",
@@ -156,3 +161,37 @@ __all__ = [
     "write_chrome_trace",
     "write_metrics_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.events": (
+            "CAT_FAULT", "CAT_NETWORK", "CAT_STRAGGLER", "CAT_SYNC",
+            "CAT_TOKEN", "CAT_TS", "CAT_WORKER", "EV_ALLREDUCE", "EV_ASSIGNED",
+            "EV_BUFFERED", "EV_DELAY", "EV_FETCH", "EV_ITERATION_END",
+            "EV_LEVEL_SYNCED", "EV_MINTED", "EV_REPORTED", "EV_SYNC_START",
+            "EV_TOKEN_INVALIDATED", "EV_TOKEN_RECLAIMED", "EV_TOKEN_REMINTED",
+            "EV_TRAINED", "EV_TRANSFER", "EV_TS_REQUEST", "EV_WORKER_FAILED",
+            "EV_WORKER_JOINED", "EV_WORKER_LEFT", "TOKEN_LIFECYCLE", "TS_TRACK",
+            "TraceEvent",
+        ),
+        "repro.obs.exporters": (
+            "chrome_trace", "complete_events", "dump_chrome_trace",
+            "metrics_to_csv", "read_chrome_trace", "timeline_spans",
+            "validate_chrome_trace", "verify_causal_chains",
+            "write_chrome_trace", "write_metrics_csv",
+        ),
+        "repro.obs.metrics": (
+            "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        ),
+        "repro.obs.protocols": ("SpanSink",),
+        "repro.obs.report": (
+            "critical_path", "render_run_report", "straggler_attribution",
+        ),
+        "repro.obs.timeseries": (
+            "NULL_SAMPLER", "PHASE_CODES", "PHASE_NAMES", "SERIES",
+            "NullSampler", "Sample", "Sampler", "series_keys", "series_points",
+        ),
+        "repro.obs.tracer": ("NULL_TRACER", "NullTracer", "Tracer"),
+    },
+)

@@ -173,6 +173,10 @@ class RunLedger:
         ).fetchone()
         return int(row[0])
 
+    def is_empty(self) -> bool:
+        """Whether no row of any kind has been recorded."""
+        return not any(self._count(table) for table in TABLES)
+
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:

@@ -109,6 +109,25 @@ class TestReturnTaint:
         assert KIND_WALL in taint["repro.sim.a.ping"]
         assert KIND_WALL in taint["repro.sim.a.pong"]
 
+    def test_taint_is_the_union_over_a_names_definitions(self):
+        program = program_of(
+            (
+                "src/repro/sim/a.py",
+                "import time\n"
+                "def delay():\n"
+                "    return time.time()\n"
+                "def delay():\n"
+                "    return 1.0\n"
+                "def outer():\n"
+                "    return delay()\n",
+            ),
+        )
+        taint = return_taint(program)
+        assert taint["repro.sim.a.outer"][KIND_WALL] == (
+            "repro.sim.a.outer",
+            "repro.sim.a.delay",
+        )
+
     def test_resolve_atoms_mixes_concrete_and_symbolic(self):
         program = program_of(
             (

@@ -1,5 +1,6 @@
 """Each FELA1xx rule on minimal synthetic programs, with negatives."""
 
+from repro.analysis import analyze_sources
 from repro.analysis.callgraph import Program
 from repro.analysis.facts import extract_module_facts
 from repro.analysis.rules import RULES, Finding, evaluate
@@ -256,6 +257,59 @@ class TestFELA105:
             ),
         )
         assert "FELA105" not in rules_hit(findings)
+
+
+class TestRedefinedFunctions:
+    """Definitions sharing a qualname are each analyzed."""
+
+    def test_shadowed_definition_is_analyzed(self):
+        # Only the first ``proc`` breaks FELA105; the second one, which
+        # reuses its qualname, is clean.
+        findings = findings_for(
+            (
+                "src/repro/sim/a.py",
+                "def proc(env, link):\n"
+                "    claim = link.request()\n"
+                "    yield claim\n"
+                "def proc(env, link):\n"
+                "    with link.request() as claim:\n"
+                "        yield claim\n",
+            ),
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("FELA105", 2)]
+
+    def test_shadowed_nested_definition_is_analyzed(self):
+        # Like the two ``rank`` helpers of
+        # ``TokenDistributor._rank_and_pick``: one nested name defined
+        # in two branches, of which only the first breaks a rule.
+        findings = findings_for(
+            (
+                "src/repro/baselines/a.py",
+                "import time\n"
+                "def run(env, flag):\n"
+                "    if flag:\n"
+                "        def train():\n"
+                "            yield env.timeout(time.time())\n"
+                "    else:\n"
+                "        def train():\n"
+                "            yield env.timeout(1.0)\n"
+                "    env.process(train())\n",
+            ),
+        )
+        assert [(f.rule_id, f.line, f.trace) for f in findings] == [
+            ("FELA101", 5, ("repro.baselines.a.run.train",)),
+        ]
+
+    def test_report_counts_every_definition(self):
+        report = analyze_sources({
+            "src/repro/sim/a.py": (
+                "def f():\n"
+                "    return 1\n"
+                "def f():\n"
+                "    return 2\n"
+            ),
+        })
+        assert report.functions == 2
 
 
 class TestFindingShape:

@@ -235,3 +235,47 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "ls"]) == 0
         assert "(cache is empty)" in capsys.readouterr().out
+
+
+class TestLedgerOnFailure:
+    """A failing command closes its ``--ledger`` and leaves no stray file."""
+
+    FAILING = {
+        "run": ["run", "vgg19", "--batch", "3", "--workers", "8"],
+        "trace": ["trace", "vgg19", "--batch", "3", "--workers", "8"],
+        "cluster": ["cluster", "run", "--jobs", "2", "--pool", "0"],
+        "tune": ["tune", "nosuchmodel"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_created_ledger_is_removed(self, command, tmp_path, capsys):
+        path = tmp_path / "new.sqlite"
+        args = self.FAILING[command] + ["--ledger", str(path)]
+        if command == "trace":
+            args += ["--out", str(tmp_path / "trace.json")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not path.exists()
+
+    def test_existing_ledger_keeps_its_rows(self, tmp_path, capsys):
+        from repro.store import RunLedger
+
+        path = tmp_path / "runs.sqlite"
+        assert main(
+            ["run", "vgg19", "--batch", "128", "--workers", "4",
+             "--iterations", "2", "--ledger", str(path)]
+        ) == 0
+        before = path.read_bytes()
+        assert main(self.FAILING["run"] + ["--ledger", str(path)]) == 2
+        assert path.read_bytes() == before
+        with RunLedger(path) as ledger:
+            assert len(ledger.runs()) == 1
+
+    def test_existing_empty_ledger_is_kept(self, tmp_path, capsys):
+        from repro.store import RunLedger
+
+        path = tmp_path / "empty.sqlite"
+        RunLedger(path).close()
+        assert main(self.FAILING["run"] + ["--ledger", str(path)]) == 2
+        with RunLedger(path) as ledger:
+            assert ledger.is_empty()
