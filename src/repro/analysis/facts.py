@@ -320,12 +320,30 @@ def _statements(body: _t.Iterable[ast.AST]) -> _t.Iterator[ast.AST]:
                 yield from _statements(inner)
 
 
+def _scope_defs(
+    body: _t.Iterable[ast.AST],
+) -> _t.Iterator[ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]:
+    """The defs that bind names in ``body``'s own scope: those under
+    ``if``/``try``/``with``/loops too, but none inside a nested def."""
+    for stmt in body:
+        if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            yield stmt
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+            inner = getattr(stmt, field, ())
+            if isinstance(inner, list):
+                yield from _scope_defs(inner)
+
+
 class Resolver:
     """Best-effort dotted-name resolution for one module.
 
     Combines the import table (absolute *and* relative imports), the
-    module's own top-level definitions, and ``self.x`` method access
-    inside classes.  Anything unresolvable returns ``None``.
+    module's own module-level definitions (including those under a
+    module-level ``if`` or ``try``), and ``self.x`` method access inside
+    classes.  Anything unresolvable returns ``None``.
     """
 
     def __init__(self, module: str, tree: ast.Module) -> None:
@@ -357,11 +375,8 @@ class Resolver:
                     self.imports[alias.asname or alias.name] = (
                         f"{base}.{alias.name}"
                     )
-        for stmt in tree.body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                self.module_defs[stmt.name] = f"{module}.{stmt.name}"
+        for stmt in _scope_defs(tree.body):
+            self.module_defs[stmt.name] = f"{module}.{stmt.name}"
 
     def resolve(
         self,
@@ -404,6 +419,9 @@ def _is_env_receiver(node: ast.AST) -> bool:
     return False
 
 
+#: The value kind of a name bound by a nested ``def``.
+_NESTED_FUNCTION = "unpicklable:nested-function"
+
 #: A scope nested in another: its decorators and defaults belong to the
 #: enclosing scope, its body to itself.
 _Scope = _t.Union[
@@ -427,6 +445,7 @@ class _FunctionScan:
         cls: str | None,
         sim_scope: bool,
         out: ModuleFacts,
+        local_defs: _t.Mapping[str, str],
     ) -> None:
         self.func = func
         self.resolver = resolver
@@ -434,6 +453,9 @@ class _FunctionScan:
         self.cls = cls
         self.sim_scope = sim_scope
         self.out = out
+        #: name -> qualname of the functions defined in this scope and
+        #: the enclosing function scopes (a closure can call them).
+        self.local_defs = dict(local_defs)
         #: var name (or "recv.attr" pseudo-name) -> (atoms, kind)
         self.env: dict[str, tuple[frozenset[str], str]] = {}
         self.params: set[str] = set()
@@ -468,6 +490,9 @@ class _FunctionScan:
         if isinstance(func, ast.Lambda):
             self.expr(func.body)
             return
+        for stmt in _scope_defs(func.body):
+            if not isinstance(stmt, ast.ClassDef):
+                self.local_defs[stmt.name] = f"{self.qualname}.{stmt.name}"
         self.visit_stmts(func.body)
         returns = sorted(set(self.returns))
         self.out.functions.append(FunctionFacts(
@@ -501,7 +526,7 @@ class _FunctionScan:
                 self.expr(default)
         _FunctionScan(
             node, self.resolver, f"{self.qualname}.{name}", cls,
-            self.sim_scope, self.out,
+            self.sim_scope, self.out, self.local_defs,
         ).scan()
 
     def _site(
@@ -567,9 +592,7 @@ class _FunctionScan:
             # A nested def is its own function (a method inside a class
             # body); a reference to it is an unpicklable capture.
             self._nested(stmt, stmt.name, self.cls)
-            self.env[stmt.name] = (
-                frozenset(), "unpicklable:nested-function"
-            )
+            self.env[stmt.name] = (frozenset(), _NESTED_FUNCTION)
         elif isinstance(stmt, ast.ClassDef):
             for node in stmt.bases + [k.value for k in stmt.keywords]:
                 self.expr(node)
@@ -1009,7 +1032,7 @@ class _FunctionScan:
             return all_atoms, "value"
         if name in _ORDER_SAFE_CONSUMERS:
             return all_atoms, "value"
-        resolved = self.resolver.resolve(
+        resolved = self._local_def(name) or self.resolver.resolve(
             func, self.cls, self.env.keys() | self.params
         )
         if resolved is None:
@@ -1021,6 +1044,17 @@ class _FunctionScan:
         if tail[:1].isupper():
             return all_atoms, f"class:{resolved}"
         return all_atoms | {f"call:{resolved}"}, f"call:{resolved}"
+
+    def _local_def(self, name: str) -> str | None:
+        """Qualname of the nested def ``name`` calls here, unless a
+        parameter or a local assignment rebinds the name."""
+        qualname = self.local_defs.get(name)
+        if qualname is None or name in self.params:
+            return None
+        bound = self.env.get(name)
+        if bound is not None and bound[1] != _NESTED_FUNCTION:
+            return None
+        return qualname
 
     def _resolved_call(
         self,
@@ -1112,6 +1146,6 @@ def extract_module_facts(source: str, path: str) -> ModuleFacts:
     facts = ModuleFacts(path=path, module=module)
     _FunctionScan(
         tree, Resolver(module, tree), module, None,
-        in_packages(module, SIM_PACKAGES), facts,
+        in_packages(module, SIM_PACKAGES), facts, {},
     ).scan()
     return facts

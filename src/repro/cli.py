@@ -569,7 +569,7 @@ def _cmd_tune(args: argparse.Namespace) -> str:
     )
     diagnostics = (
         f"search: {result.cases_profiled} case measurements, "
-        f"{result.warmup_iterations} warm-up iterations, "
+        f"{result.warmup_iterations} warm-up iterations simulated, "
         f"{result.cases_pruned} candidates pruned, "
         f"{result.cache_hits} cache hits, "
         f"wall {result.wall_seconds:.2f}s"
@@ -858,7 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--exhaustive", action="store_true",
         help="profile every phase-1 candidate at full depth instead of "
-        "pruning with successive halving",
+        "pruning with successive halving; --jobs fans out phase 2 and "
+        "this exhaustive phase 1 only (halving advances its BSP "
+        "candidates in this process)",
     )
     _add_sweep_flags(tune)
 

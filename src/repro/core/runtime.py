@@ -104,6 +104,10 @@ class FelaRuntime:
         self._delays: dict[int, list[float]] = {}
         #: wid -> worker process (the fault controller interrupts these).
         self._worker_procs: dict[int, "Process"] = {}
+        #: ``_main``'s process once :meth:`advance` has started it.
+        self._main_proc: "Process | None" = None
+        #: (record count, event) :meth:`advance` is waiting for, if any.
+        self._pause: tuple[int, Event] | None = None
         #: Optional fault controller; attaching wires the membership
         #: state machine and lease monitor into this run.
         self.faults = faults
@@ -138,6 +142,37 @@ class FelaRuntime:
         main = env.process(self._main())
         env.run(main)
         return self.finalize()
+
+    def advance(self, iterations: int) -> float:
+        """Run until ``iterations`` iterations are recorded; return their
+        mean per-iteration time.
+
+        The first call starts the run and later calls resume it, so a
+        run advanced to 1, then 2, then ``config.iterations`` simulates
+        each iteration once.  BSP only: its barrier makes the first k
+        iterations of a deeper run bit-for-bit a fresh k-iteration run,
+        so ``advance(k)`` equals the ``mean_iteration_time`` of
+        ``config.replace(iterations=k)`` run from scratch.  Under SSP
+        and ASP a later iteration's traffic overlaps the earlier ones'
+        trailing syncs, which breaks that equality.
+        """
+        if self.config.sync_mode != SyncMode.BSP:
+            raise ConfigurationError(
+                f"advance() needs BSP, not {self.config.sync_mode!r}"
+            )
+        if not 1 <= iterations <= self.config.iterations:
+            raise ConfigurationError(
+                f"cannot advance to iteration {iterations} of "
+                f"{self.config.iterations}"
+            )
+        env = self.cluster.env
+        if self._main_proc is None:
+            self._main_proc = env.process(self._main())
+        if len(self._records) < iterations:
+            self._pause = (iterations, env.event())
+            env.run(self._pause[1])
+            self._pause = None
+        return self._records[iterations - 1].end / iterations
 
     def finalize(self, started_at: float = 0.0) -> RunResult:
         """Settle accounting after ``_main`` has finished; build the result.
@@ -313,6 +348,10 @@ class FelaRuntime:
                 )
             )
             previous_counts = counts
+            if self._pause is not None and (
+                len(self._records) == self._pause[0]
+            ):
+                self._pause[1].succeed()
             self.server.end_iteration()
         # Outstanding SSP/ASP synchronizations must land before the run
         # is considered finished.

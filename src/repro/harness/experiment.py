@@ -24,22 +24,15 @@ import typing as _t
 
 from repro.core import FelaConfig
 from repro.errors import ConfigurationError
-from repro.exec import (
-    ResultCache,
-    RunJob,
-    SweepExecutor,
-    canonical_key,
-    decode_tuning_result,
-    describe_cluster,
-    describe_partition,
-    encode_tuning_result,
-)
 from repro.hardware import ClusterSpec
 from repro.metrics import RunResult
 from repro.models import ModelGraph, get_model
 from repro.partition import Partition, bin_partition, paper_partition
 from repro.stragglers import NoStraggler, StragglerInjector
 from repro.tuning import PHASE1_EXHAUSTIVE, ConfigurationTuner, TuningResult
+
+if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.exec import ResultCache, RunJob, SweepExecutor
 
 RUNTIME_KINDS: tuple[str, ...] = ("fela", "dp", "mp", "hp")
 
@@ -88,21 +81,28 @@ class ExperimentRunner:
     ) -> None:
         self._models: dict[str, ModelGraph] = {}
         self._partitions: dict[str, Partition] = {}
-        if executor is not None:
-            self._executor = executor
-            self._cache = executor.cache or ResultCache()
-            if executor.cache is None:
-                executor.cache = self._cache
-        else:
-            self._cache = cache if cache is not None else ResultCache()
-            self._executor = SweepExecutor(jobs=jobs, cache=self._cache)
+        # The sweep engine is built on first use, so a runner that only
+        # builds models and partitions never imports ``repro.exec``.
+        self._cache = cache if executor is None else executor.cache
+        self._jobs = jobs
+        self._executor = executor
 
     @property
     def cache(self) -> ResultCache:
+        if self._cache is None:
+            from repro.exec import ResultCache
+
+            self._cache = ResultCache()
         return self._cache
 
     @property
     def executor(self) -> SweepExecutor:
+        if self._executor is None:
+            from repro.exec import SweepExecutor
+
+            self._executor = SweepExecutor(jobs=self._jobs, cache=self.cache)
+        elif self._executor.cache is None:
+            self._executor.cache = self.cache
         return self._executor
 
     # -- cached building blocks ---------------------------------------------
@@ -130,6 +130,14 @@ class ExperimentRunner:
         persistent cache skips not just the case simulations but the
         search itself on reruns.
         """
+        from repro.exec import (
+            canonical_key,
+            decode_tuning_result,
+            describe_cluster,
+            describe_partition,
+            encode_tuning_result,
+        )
+
         partition = self.partition(spec.model_name)
         cluster_spec = spec.resolved_cluster_spec()
         key = canonical_key(
@@ -143,7 +151,7 @@ class ExperimentRunner:
                 "phase1": PHASE1_EXHAUSTIVE,
             },
         )
-        cached = self._cache.get(key, decode=decode_tuning_result)
+        cached = self.cache.get(key, decode=decode_tuning_result)
         if cached is not None:
             return cached
         tuner = ConfigurationTuner(
@@ -152,10 +160,10 @@ class ExperimentRunner:
             spec.num_workers,
             cluster_spec=cluster_spec,
             profile_iterations=TUNING_PROFILE_ITERATIONS,
-            executor=self._executor,
+            executor=self.executor,
         )
         result = tuner.tune()
-        self._cache.put(key, result, encode=encode_tuning_result)
+        self.cache.put(key, result, encode=encode_tuning_result)
         return result
 
     # -- running ------------------------------------------------------------------
@@ -177,6 +185,8 @@ class ExperimentRunner:
         Tuning (for ``fela``) and kind validation happen here, in the
         parent process, so pool workers only ever simulate.
         """
+        from repro.exec import RunJob
+
         spec = request.spec
         straggler = request.straggler or NoStraggler()
         config: FelaConfig | None = None
@@ -213,7 +223,7 @@ class ExperimentRunner:
         Results come back in request order and are byte-identical to
         running each request serially via :meth:`run`.
         """
-        return self._executor.map(
+        return self.executor.map(
             [self._run_job(request) for request in requests]
         )
 

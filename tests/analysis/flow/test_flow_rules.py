@@ -38,6 +38,68 @@ class TestFELA101:
             "repro.sim.a.raw",
         )
 
+    def test_nested_def_followed_like_a_module_level_one(self):
+        nested = (
+            "import time\n"
+            "class B:\n"
+            "    def run(self, env):\n"
+            "        def jitter():\n"
+            "            return time.time()\n"
+            "        def train():\n"
+            "            yield env.timeout(jitter())\n"
+            "        return env.process(train())\n"
+        )
+        flat = (
+            "import time\n"
+            "def jitter():\n"
+            "    return time.time()\n"
+            "class B:\n"
+            "    def run(self, env):\n"
+            "        def train():\n"
+            "            yield env.timeout(jitter())\n"
+            "        return env.process(train())\n"
+        )
+        traces = []
+        for source in (nested, flat):
+            (finding,) = findings_for(("src/repro/baselines/x.py", source))
+            assert (finding.rule_id, finding.line) == ("FELA101", 7)
+            traces.append(finding.trace)
+        assert traces == [
+            ("repro.baselines.x.B.run.jitter",),
+            ("repro.baselines.x.jitter",),
+        ]
+
+    def test_rebound_nested_name_is_not_followed(self):
+        findings = findings_for(
+            (
+                "src/repro/sim/a.py",
+                "import time\n"
+                "def run(env, jitter):\n"
+                "    def clock():\n"
+                "        return time.time()\n"
+                "    def train():\n"
+                "        clock = jitter\n"
+                "        yield env.timeout(clock())\n"
+                "    return train\n",
+            ),
+        )
+        assert "FELA101" not in rules_hit(findings)
+
+    def test_def_under_module_level_if_followed(self):
+        findings = findings_for(
+            (
+                "src/repro/sim/a.py",
+                "import sys, time\n"
+                "if sys.version_info >= (3, 8):\n"
+                "    def jitter():\n"
+                "        return time.time()\n"
+                "def proc(env):\n"
+                "    yield env.timeout(jitter())\n",
+            ),
+        )
+        (finding,) = [f for f in findings if f.rule_id == "FELA101"]
+        assert finding.trace == ("repro.sim.a.jitter",)
+
     def test_constant_delay_not_flagged(self):
         findings = findings_for(
             (

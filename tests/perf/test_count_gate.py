@@ -9,10 +9,10 @@ batched call) must leave every number here unchanged; a change to any
 of them is an algorithmic change and needs its own explanation in
 CHANGES.md before a re-pin.
 
-The counts are gathered by wrapping three constructors and methods with
-``monkeypatch``: every :class:`Fabric` the op builds, every finished
-:class:`FelaRuntime` result and every ``train_time`` call.  Sums run in
-creation order, so the float byte fold is deterministic too.
+The counts are gathered by wrapping two constructors and one method with
+``monkeypatch``: every :class:`Fabric` and every :class:`FelaRuntime`
+the op builds (finished or only advanced) and every ``train_time`` call.
+Sums run in creation order, so the float byte fold is deterministic too.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ CASES = {
     "tune_vgg19": (
         _tune_vgg19,
         dict(
-            events=10472, flows=8208, solves_full=762, solves_restricted=0,
-            bytes="78575654207.99995", ts_requests=1050, train_time=636,
+            events=7318, flows=5782, solves_full=544, solves_restricted=0,
+            bytes="54351906047.99997", ts_requests=737, train_time=448,
             result="((1, 1, 8), 8, 21)",
         ),
     ),
@@ -185,28 +185,27 @@ CASES = {
 
 
 def _count(monkeypatch, op):
-    fabrics, results, train_calls = [], [], [0]
-    init, finalize, train_time = (
+    fabrics, runtimes, train_calls = [], [], [0]
+    fabric_init, runtime_init, train_time = (
         Fabric.__init__,
-        FelaRuntime.finalize,
+        FelaRuntime.__init__,
         GpuSpec.train_time,
     )
 
-    def counted_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def counted_fabric_init(self, *args, **kwargs):
+        fabric_init(self, *args, **kwargs)
         fabrics.append(self)
 
-    def counted_finalize(self, *args, **kwargs):
-        result = finalize(self, *args, **kwargs)
-        results.append(result)
-        return result
+    def counted_runtime_init(self, *args, **kwargs):
+        runtime_init(self, *args, **kwargs)
+        runtimes.append(self)
 
     def counted_train_time(self, *args, **kwargs):
         train_calls[0] += 1
         return train_time(self, *args, **kwargs)
 
-    monkeypatch.setattr(Fabric, "__init__", counted_init)
-    monkeypatch.setattr(FelaRuntime, "finalize", counted_finalize)
+    monkeypatch.setattr(Fabric, "__init__", counted_fabric_init)
+    monkeypatch.setattr(FelaRuntime, "__init__", counted_runtime_init)
     monkeypatch.setattr(GpuSpec, "train_time", counted_train_time)
     result = op()
     envs = {id(fabric.env): fabric.env for fabric in fabrics}
@@ -221,7 +220,9 @@ def _count(monkeypatch, op):
             fabric.stats.solves_restricted for fabric in fabrics
         ),
         bytes=repr(moved),
-        ts_requests=sum(r.stats["ts_requests"] for r in results),
+        # Every runtime the op built, finished or not: the tuner's
+        # halving advances its Phase-1 runs without finalizing them.
+        ts_requests=sum(runtime.server.requests for runtime in runtimes),
         train_time=train_calls[0],
         result=repr(result),
     )

@@ -153,6 +153,23 @@ class TestFreshProcess:
         assert "repro.core.runtime" in loaded
         assert sorted(loaded.intersection(NOT_IN_A_SIMULATION)) == []
 
+    def test_experiment_runner_builds_the_sweep_engine_on_first_use(self):
+        loaded = json.loads(run_fresh(
+            "import json, sys\n"
+            "from repro import ExperimentRunner\n"
+            "runner = ExperimentRunner()\n"
+            "runner.partition('vgg19')\n"
+            "before = sorted(sys.modules)\n"
+            "runner.executor\n"
+            "print(json.dumps([before, sorted(sys.modules)]))\n"
+        ))
+        before, after = (
+            [name for name in names if name.split(".")[:2] == ["repro", "exec"]]
+            for names in loaded
+        )
+        assert before == []
+        assert "repro.exec.executor" in after
+
     def test_cli_import_skips_the_simulator(self):
         loaded = json.loads(run_fresh(
             "import json, sys\n"

@@ -39,10 +39,11 @@ def test_halving_matches_exhaustive_with_fewer_iterations(
 ):
     partition = zoo_partition(model_name, profiler)
     for num_workers in (4, 8, 16):
-        # One shared in-memory cache per (model, N): the finalists'
-        # full-depth measurements are identical across strategies, so
-        # sharing halves the test's simulation bill without touching
-        # what either strategy would compute.
+        # One shared in-memory cache per (model, N): Phase 2's cases
+        # are identical across strategies when the winners agree, so
+        # sharing spares the halving tune those simulations without
+        # touching what either strategy computes.  Halving's Phase 1
+        # advances live runs and never reads the cache.
         cache = ResultCache()
 
         def tune(phase1):
