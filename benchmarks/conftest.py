@@ -6,12 +6,11 @@ full ``pytest benchmarks/ --benchmark-only`` run leaves an inspectable
 record of the reproduced evaluation, and the pytest-benchmark timings
 measure the cost of regenerating each artifact on the simulator.
 
-Workload construction routes through :mod:`repro.perf` — the same
-:class:`~repro.perf.ScenarioContext` and shared builders the ``repro
-bench`` scenarios use — so the figure benchmarks and the performance lab
-agree on how a cluster is built and how a Fela configuration is tuned,
-and the expensive two-phase tunings are computed once per workload and
-shared across figures (the paper's one-off warm-up).
+Workload construction goes through one session-scoped
+:class:`~repro.harness.ExperimentRunner`, so the expensive two-phase
+tunings are computed once per workload and shared across figures (the
+paper's one-off warm-up), and a baseline runs through the same
+``runner.run`` path as ``repro compare``.
 """
 
 from __future__ import annotations
@@ -22,26 +21,19 @@ import pytest
 
 from repro.core import FelaConfig, FelaRuntime
 from repro.hardware import Cluster, ClusterSpec
-from repro.harness import ExperimentRunner
+from repro.harness import ExperimentRunner, ExperimentSpec
 from repro.metrics import RunResult
-from repro.perf import ScenarioContext, baseline_run, tuned_fela_config
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
-def perf_context() -> ScenarioContext:
-    """The perf-lab scenario context backing every benchmark's setup."""
-    return ScenarioContext()
+def runner() -> ExperimentRunner:
+    return ExperimentRunner()
 
 
 @pytest.fixture(scope="session")
-def runner(perf_context: ScenarioContext) -> ExperimentRunner:
-    return perf_context.runner
-
-
-@pytest.fixture(scope="session")
-def fela_vs_dp(perf_context: ScenarioContext):
+def fela_vs_dp(runner: ExperimentRunner):
     """One sweep point: tuned Fela vs the DP baseline on a cluster spec.
 
     The shared body of the bandwidth / scalability / network-trend
@@ -57,27 +49,17 @@ def fela_vs_dp(perf_context: ScenarioContext):
         iterations: int = 4,
         config: FelaConfig | None = None,
     ) -> tuple[RunResult, RunResult]:
-        spec = cluster_spec or ClusterSpec(num_nodes=num_workers)
-        if config is None:
-            config = tuned_fela_config(
-                perf_context,
-                model_name,
-                total_batch,
-                num_workers,
-                iterations=iterations,
-                cluster_spec=spec,
-            )
-        fela = FelaRuntime(config, Cluster(spec)).run()
-        dp, _ = baseline_run(
-            perf_context,
-            "dp",
+        spec = ExperimentSpec(
             model_name,
             total_batch,
             num_workers,
             iterations=iterations,
-            cluster=Cluster(spec),
+            cluster_spec=cluster_spec,
         )
-        return fela, dp
+        if config is None:
+            config = runner.fela_config(spec)
+        fela = FelaRuntime(config, Cluster(spec.resolved_cluster_spec())).run()
+        return fela, runner.run("dp", spec)
 
     return sweep_point
 

@@ -429,14 +429,11 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
     import repro.perf as perf
 
     if args.list:
-        rows = [
-            [scenario.name, scenario.kind, scenario.description]
-            for scenario in perf.scenarios()
-        ]
         return render_table(
-            ["Scenario", "Kind", "Description"],
-            rows,
-            title="Registered benchmark scenarios",
+            ["Scenario", "Description"],
+            [[scenario.name, scenario.description]
+             for scenario in perf.scenarios()],
+            title="Benchmark scenarios",
         )
 
     if args.history:
@@ -452,47 +449,15 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
         for name in names:
             perf.get_scenario(name)  # fail fast on typos
     else:
-        kind = None if args.kind == "all" else args.kind
-        names = perf.scenario_names(kind)
+        names = perf.scenario_names()
 
-    ctx = perf.ScenarioContext()
-
-    if args.profile:
-        reports = [
-            perf.profile_scenario(name, ctx, top=args.top)
-            for name in names
-        ]
-        return "\n\n".join(reports)
-
-    run = perf.run_benchmarks(
-        names,
-        label=args.label,
-        ctx=ctx,
-        repeats=args.repeats,
-        warmup=args.warmup,
-    )
-    rows = [
-        [
-            record.name,
-            record.kind,
-            f"{record.wall_seconds_median:.4f}",
-            f"{record.wall_seconds_iqr:.4f}",
-            f"{record.sim_seconds_per_wall_second:.1f}",
-            f"{record.events_per_second:.0f}",
-            f"{record.peak_rss_kb / 1024.0:.1f}",
-        ]
-        for record in run.records
-    ]
-    text = render_table(
-        ["Scenario", "Kind", "Wall med (s)", "IQR (s)", "Sim s/s",
-         "Events/s", "RSS (MiB)"],
-        rows,
-        title=f"Benchmark run {run.label!r} "
-        f"({args.repeats} repeats, {args.warmup} warmup)",
-    )
-
-    # Resolve the baseline before --out appends, so that comparing and
-    # appending to the same store measures against the previous run.
+    # Reject bad input before measuring anything.  The baseline is
+    # resolved before --out appends, so that comparing and appending to
+    # the same store measures against the previous run.
+    if args.fail_on_regress < 0:
+        raise ConfigurationError(
+            f"--fail-on-regress must be >= 0: {args.fail_on_regress}"
+        )
     baseline = None
     if args.compare:
         baseline_runs = perf.load_store(args.compare)
@@ -509,6 +474,37 @@ def _cmd_bench(args: argparse.Namespace) -> str | tuple[str, int]:
             "--baseline names a run inside the --compare store; "
             "pass --compare as well"
         )
+
+    if args.profile:
+        reports = [
+            perf.profile_scenario(name, top=args.top) for name in names
+        ]
+        return "\n\n".join(reports)
+
+    run = perf.run_benchmarks(
+        names,
+        label=args.label,
+        repeats=args.repeats,
+        warmup=args.warmup,
+    )
+    rows = [
+        [
+            record.name,
+            f"{record.wall_seconds_median:.4f}",
+            f"{record.wall_seconds_iqr:.4f}",
+            f"{record.sim_seconds_per_wall_second:.1f}",
+            f"{record.events_per_second:.0f}",
+            f"{record.peak_rss_kb / 1024.0:.1f}",
+        ]
+        for record in run.records
+    ]
+    text = render_table(
+        ["Scenario", "Wall med (s)", "IQR (s)", "Sim s/s", "Events/s",
+         "RSS (MiB)"],
+        rows,
+        title=f"Benchmark run {run.label!r} "
+        f"({args.repeats} repeats, {args.warmup} warmup)",
+    )
 
     if args.out:
         perf.append_run(args.out, run)
@@ -898,14 +894,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--list", action="store_true",
-        help="list registered scenarios and exit",
+        help="list the scenarios and exit",
     )
     bench.add_argument(
         "--scenarios", default=None,
-        help="comma-separated scenario names (default: all of --kind)",
-    )
-    bench.add_argument(
-        "--kind", choices=("macro", "micro", "all"), default="all"
+        help="comma-separated scenario names (default: all)",
     )
     bench.add_argument("--repeats", type=int, default=5)
     bench.add_argument("--warmup", type=int, default=1)

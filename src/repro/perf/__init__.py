@@ -2,10 +2,9 @@
 
 Three parts, one measurement loop:
 
-* :mod:`repro.perf.scenarios` — a registry of seeded macro scenarios
-  (whole Fela/baseline runs, straggler/faulted/traced variants) and
-  micro scenarios (event-loop churn, fabric transfers, the token
-  mint/assign/report path, ring all-reduce), each fully deterministic;
+* :mod:`repro.perf.scenarios` — the four seeded north-star workloads
+  (the tuned 8-worker vgg19 run, the 1000-worker run, the 100-job
+  shared pool and the halving tune), each fully deterministic;
 * :mod:`repro.perf.runner` — warmup + repeated wall-clock measurement
   producing median/IQR, simulated-seconds-per-wall-second, events/sec,
   and peak RSS for each scenario, with a rerun determinism check;
@@ -25,14 +24,10 @@ from repro.perf.runner import (
 )
 from repro.perf.scenarios import (
     Scenario,
-    ScenarioContext,
     ScenarioStats,
-    baseline_run,
-    build_cluster,
     get_scenario,
     scenario_names,
     scenarios,
-    tuned_fela_config,
 )
 from repro.perf.store import (
     SCHEMA_VERSION,
@@ -55,13 +50,10 @@ __all__ = [
     "Comparison",
     "ComparisonRow",
     "Scenario",
-    "ScenarioContext",
     "ScenarioMeasurement",
     "ScenarioRecord",
     "ScenarioStats",
     "append_run",
-    "baseline_run",
-    "build_cluster",
     "compare_runs",
     "get_scenario",
     "load_store",
@@ -74,5 +66,4 @@ __all__ = [
     "scenario_history",
     "scenario_names",
     "scenarios",
-    "tuned_fela_config",
 ]

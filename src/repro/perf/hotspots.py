@@ -15,7 +15,8 @@ import cProfile
 import pstats
 
 from repro.errors import BenchmarkError
-from repro.perf.scenarios import Scenario, ScenarioContext, get_scenario
+from repro.harness import ExperimentRunner
+from repro.perf.scenarios import Scenario, get_scenario
 
 DEFAULT_TOP = 15
 
@@ -35,7 +36,7 @@ def _label(func: tuple[str, int, str]) -> str:
 
 def profile_scenario(
     scenario: Scenario | str,
-    ctx: ScenarioContext | None = None,
+    runner: ExperimentRunner | None = None,
     top: int = DEFAULT_TOP,
 ) -> str:
     """Run ``scenario`` once under cProfile; return a top-N report."""
@@ -43,8 +44,7 @@ def profile_scenario(
         scenario = get_scenario(scenario)
     if top < 1:
         raise BenchmarkError(f"hotspot report needs top >= 1: {top}")
-    ctx = ctx or ScenarioContext()
-    run_once = scenario.build(ctx)
+    run_once = scenario.build(runner or ExperimentRunner())
 
     profiler = cProfile.Profile()
     profiler.enable()

@@ -21,12 +21,8 @@ import time
 import typing as _t
 
 from repro.errors import BenchmarkError
-from repro.perf.scenarios import (
-    Scenario,
-    ScenarioContext,
-    ScenarioStats,
-    get_scenario,
-)
+from repro.harness import ExperimentRunner
+from repro.perf.scenarios import Scenario, ScenarioStats, get_scenario
 from repro.perf.store import BenchRun, ScenarioRecord
 
 DEFAULT_REPEATS = 5
@@ -49,7 +45,6 @@ class ScenarioMeasurement:
     """One scenario's measured performance."""
 
     name: str
-    kind: str
     repeats: int
     warmup: int
     wall_seconds: tuple[float, ...]
@@ -64,7 +59,8 @@ class ScenarioMeasurement:
     def to_record(self) -> ScenarioRecord:
         return ScenarioRecord(
             name=self.name,
-            kind=self.kind,
+            # The store keeps the field so older macro/micro runs load.
+            kind="macro",
             repeats=self.repeats,
             warmup=self.warmup,
             wall_seconds=self.wall_seconds,
@@ -89,7 +85,7 @@ def _summarize(walls: _t.Sequence[float]) -> tuple[float, float]:
 
 def measure_scenario(
     scenario: Scenario | str,
-    ctx: ScenarioContext | None = None,
+    runner: ExperimentRunner | None = None,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
 ) -> ScenarioMeasurement:
@@ -100,8 +96,7 @@ def measure_scenario(
         raise BenchmarkError(f"need at least one repeat: {repeats}")
     if warmup < 0:
         raise BenchmarkError(f"warmup must be >= 0: {warmup}")
-    ctx = ctx or ScenarioContext()
-    run_once = scenario.build(ctx)
+    run_once = scenario.build(runner or ExperimentRunner())
     for _ in range(warmup):
         run_once()
 
@@ -122,7 +117,6 @@ def measure_scenario(
     median, iqr = _summarize(walls)
     return ScenarioMeasurement(
         name=scenario.name,
-        kind=scenario.kind,
         repeats=repeats,
         warmup=warmup,
         wall_seconds=tuple(walls),
@@ -141,7 +135,6 @@ def measure_scenario(
 def run_benchmarks(
     names: _t.Sequence[str],
     label: str,
-    ctx: ScenarioContext | None = None,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
 ) -> BenchRun:
@@ -150,9 +143,10 @@ def run_benchmarks(
         raise BenchmarkError("no scenarios selected")
     for name in names:
         get_scenario(name)  # fail fast before measuring anything
-    ctx = ctx or ScenarioContext()
+    # One runner serves every scenario, so they share its caches.
+    runner = ExperimentRunner()
     records = tuple(
-        measure_scenario(name, ctx, repeats=repeats, warmup=warmup)
+        measure_scenario(name, runner, repeats=repeats, warmup=warmup)
         .to_record()
         for name in names
     )

@@ -1,64 +1,37 @@
-"""The benchmark scenario registry.
+"""The benchmark scenarios: the four north-star workloads.
 
 A *scenario* is a named, fully deterministic workload.  ``build()``
 performs the expensive one-off setup (model construction, two-phase
 tuning) and returns a zero-argument ``run_once`` callable; the runner
 times ``run_once`` alone, so measurements capture the engine, not the
 warm-up.  Every ``run_once`` builds a fresh simulation (environment,
-cluster, injectors), which is why repeats of a scenario are bit-identical
+cluster, tuner), which is why repeats of a scenario are bit-identical
 — the determinism check in :mod:`repro.perf.runner` relies on it.
 
-Macro scenarios exercise whole training runs (the Fela runtime on
-vgg19/googlenet, the DP/MP/HP baselines, straggler + faulted + traced
-variants); micro scenarios isolate one hot path each (sim event-loop
-churn, fabric transfers, the token mint/assign/report path, ring
-all-reduce, and raw object allocation for the ``__slots__`` ledger).
-
-The shared builders (:func:`tuned_fela_config`, :func:`build_cluster`,
-:func:`baseline_run`) are also the setup surface the benchmark suite's
-``conftest`` routes through, so figure benchmarks and the perf lab agree
-on how a workload is constructed.
+The scenarios are the shapes of the external benchmark's workloads: the
+tuned 8-worker vgg19 run, the 1000-worker scale run, the 100-job shared
+pool and the cold successive-halving tune.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 from repro.errors import BenchmarkError
 from repro.hardware import Cluster, ClusterSpec
 from repro.harness import ExperimentRunner, ExperimentSpec
 
-if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.config import FelaConfig
-    from repro.metrics import RunResult
-
-MACRO = "macro"
-MICRO = "micro"
-
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioStats:
     """What one scenario repetition produced (must not vary across reps)."""
 
-    #: Final simulation clock of the run (0.0 for pure-allocation micros).
+    #: Final simulation clock of the run (summed over a tune's cases).
     simulated_seconds: float
     #: Events scheduled on the simulation environment(s) of the run.
     events: int
-
-
-@dataclasses.dataclass
-class ScenarioContext:
-    """Shared expensive state for scenario setup.
-
-    One context serves a whole ``repro bench`` invocation, so scenarios
-    over the same workload share the cached two-phase tuning exactly as
-    the figure benchmarks share their session-scoped runner.
-    """
-
-    runner: ExperimentRunner = dataclasses.field(
-        default_factory=ExperimentRunner
-    )
 
 
 RunOnce = _t.Callable[[], ScenarioStats]
@@ -66,210 +39,34 @@ RunOnce = _t.Callable[[], ScenarioStats]
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """One registered benchmark scenario."""
+    """One benchmark scenario."""
 
     name: str
-    kind: str
     description: str
-    _builder: _t.Callable[[ScenarioContext], RunOnce]
+    _builder: _t.Callable[[ExperimentRunner], RunOnce]
 
-    def build(self, ctx: ScenarioContext) -> RunOnce:
+    def build(self, runner: ExperimentRunner) -> RunOnce:
         """One-off setup; returns the repeatable timed body."""
-        return self._builder(ctx)
+        return self._builder(runner)
 
 
-_REGISTRY: dict[str, Scenario] = {}
+def _vgg19_fela(runner: ExperimentRunner) -> RunOnce:
+    from repro.core import FelaRuntime
 
+    config = runner.fela_config(ExperimentSpec("vgg19", 256, iterations=12))
 
-def register(
-    name: str, kind: str, description: str
-) -> _t.Callable[[_t.Callable[[ScenarioContext], RunOnce]], Scenario]:
-    """Register a scenario builder under ``name``."""
-    if kind not in (MACRO, MICRO):
-        raise BenchmarkError(f"scenario kind must be macro/micro: {kind!r}")
-
-    def wrap(builder: _t.Callable[[ScenarioContext], RunOnce]) -> Scenario:
-        if name in _REGISTRY:
-            raise BenchmarkError(f"duplicate scenario name {name!r}")
-        scenario = Scenario(
-            name=name, kind=kind, description=description, _builder=builder
-        )
-        _REGISTRY[name] = scenario
-        return scenario
-
-    return wrap
-
-
-def scenarios(kind: str | None = None) -> list[Scenario]:
-    """All registered scenarios, name-sorted, optionally one kind."""
-    return [
-        _REGISTRY[name]
-        for name in sorted(_REGISTRY)
-        if kind is None or _REGISTRY[name].kind == kind
-    ]
-
-
-def scenario_names(kind: str | None = None) -> list[str]:
-    return [scenario.name for scenario in scenarios(kind)]
-
-
-def get_scenario(name: str) -> Scenario:
-    scenario = _REGISTRY.get(name)
-    if scenario is None:
-        raise BenchmarkError(
-            f"unknown scenario {name!r}; known: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        )
-    return scenario
-
-
-# -- shared workload builders (also used by benchmarks/conftest.py) ----------
-
-
-def build_cluster(
-    num_nodes: int = 8, **overrides: _t.Any
-) -> Cluster:
-    """A fresh simulated cluster (fresh environment, fresh fabric)."""
-    return Cluster(ClusterSpec(num_nodes=num_nodes, **overrides))
-
-
-def tuned_fela_config(
-    ctx: ScenarioContext,
-    model_name: str,
-    total_batch: int,
-    num_workers: int = 8,
-    iterations: int = 12,
-    cluster_spec: ClusterSpec | None = None,
-) -> "FelaConfig":
-    """The two-phase tuned Fela configuration for a workload (cached)."""
-    spec = ExperimentSpec(
-        model_name=model_name,
-        total_batch=total_batch,
-        num_workers=num_workers,
-        iterations=iterations,
-        cluster_spec=cluster_spec,
-    )
-    return ctx.runner.fela_config(spec)
-
-
-def baseline_run(
-    ctx: ScenarioContext,
-    kind: str,
-    model_name: str,
-    total_batch: int,
-    num_workers: int = 8,
-    iterations: int = 12,
-    cluster: Cluster | None = None,
-) -> tuple["RunResult", Cluster]:
-    """Run one baseline runtime on a fresh cluster; returns (result, cluster)."""
-    from repro.baselines import DataParallel, HybridParallel, ModelParallel
-
-    baseline_cls = {
-        "dp": DataParallel,
-        "mp": ModelParallel,
-        "hp": HybridParallel,
-    }.get(kind)
-    if baseline_cls is None:
-        raise BenchmarkError(f"unknown baseline kind {kind!r}")
-    cluster = cluster or build_cluster(num_workers)
-    result = baseline_cls(
-        ctx.runner.model(model_name),
-        total_batch,
-        num_workers,
-        iterations=iterations,
-        cluster=cluster,
-    ).run()
-    return result, cluster
-
-
-# -- macro scenarios ----------------------------------------------------------
-
-
-def _fela_macro_builder(
-    model_name: str,
-    total_batch: int,
-    iterations: int,
-    straggler: str | None = None,
-    faults: str | None = None,
-    traced: bool = False,
-) -> _t.Callable[[ScenarioContext], RunOnce]:
-    def build(ctx: ScenarioContext) -> RunOnce:
-        from repro.core import FelaRuntime
-
-        config = tuned_fela_config(
-            ctx, model_name, total_batch, iterations=iterations
+    def run_once() -> ScenarioStats:
+        cluster = Cluster(ClusterSpec(num_nodes=config.num_workers))
+        result = FelaRuntime(config, cluster).run()
+        return ScenarioStats(
+            simulated_seconds=result.total_time,
+            events=cluster.env.scheduled_events,
         )
 
-        def run_once() -> ScenarioStats:
-            from repro.cli import parse_straggler
-
-            cluster = build_cluster(config.num_workers)
-            tracer = None
-            if traced:
-                from repro.obs import Tracer
-
-                tracer = Tracer()
-            controller = None
-            if faults is not None:
-                from repro.faults import FaultController, parse_faults
-
-                controller = FaultController(parse_faults(faults))
-            result = FelaRuntime(
-                config,
-                cluster,
-                straggler=parse_straggler(straggler),
-                tracer=tracer,
-                faults=controller,
-            ).run()
-            return ScenarioStats(
-                simulated_seconds=result.total_time,
-                events=cluster.env.scheduled_events,
-            )
-
-        return run_once
-
-    return build
+    return run_once
 
 
-register(
-    "macro.vgg19_fela",
-    MACRO,
-    "tuned Fela BSP run: vgg19, batch 256, 8 workers, 12 iterations",
-)(_fela_macro_builder("vgg19", 256, 12))
-
-register(
-    "macro.googlenet_fela",
-    MACRO,
-    "tuned Fela BSP run: googlenet, batch 256, 8 workers, 12 iterations",
-)(_fela_macro_builder("googlenet", 256, 12))
-
-register(
-    "macro.vgg19_fela_straggler",
-    MACRO,
-    "Fela vgg19 run under the round-robin straggler (2 s delays)",
-)(_fela_macro_builder("vgg19", 256, 12, straggler="rr:2"))
-
-register(
-    "macro.vgg19_fela_faulted",
-    MACRO,
-    "Fela vgg19 run surviving two seeded worker crashes",
-)(_fela_macro_builder("vgg19", 256, 12, faults="crash:2@4.0,crash:5@9.0"))
-
-register(
-    "macro.vgg19_fela_traced",
-    MACRO,
-    "Fela vgg19 run with the structured tracer recording",
-)(_fela_macro_builder("vgg19", 256, 12, traced=True))
-
-
-@register(
-    "macro.fela_1000workers",
-    MACRO,
-    "Fela at scale: 1000 workers, two-level vgg19 partition, "
-    "hierarchical gradient sync, one iteration (O(changed)-worker "
-    "scheduling, group-local fabric components)",
-)
-def _fela_1000workers(ctx: ScenarioContext) -> RunOnce:
+def _fela_1000workers(runner: ExperimentRunner) -> RunOnce:
     from repro.core import FelaConfig, FelaRuntime
     from repro.partition.submodel import Partition, SubModel
 
@@ -279,7 +76,7 @@ def _fela_1000workers(ctx: ScenarioContext) -> RunOnce:
     # dominates the host time without measuring anything new.  Two
     # levels keep the token-generation pipeline (ratios, level sync)
     # while components stay group-local.
-    full = ctx.runner.partition("vgg19")
+    full = runner.partition("vgg19")
     rest = tuple(
         layer for submodel in list(full)[1:] for layer in submodel.layers
     )
@@ -298,7 +95,7 @@ def _fela_1000workers(ctx: ScenarioContext) -> RunOnce:
     )
 
     def run_once() -> ScenarioStats:
-        cluster = build_cluster(1000)
+        cluster = Cluster(ClusterSpec(num_nodes=1000))
         config = FelaConfig(
             partition=partition,
             total_batch=4000,
@@ -317,14 +114,7 @@ def _fela_1000workers(ctx: ScenarioContext) -> RunOnce:
     return run_once
 
 
-@register(
-    "macro.cluster_100jobs",
-    MACRO,
-    "multi-tenant cluster service: 100-job Poisson trace scheduled "
-    "elastically onto one 32-GPU pool (admission, membership-driven "
-    "resizes, many runtimes on one shared clock)",
-)
-def _cluster_100jobs(_ctx: ScenarioContext) -> RunOnce:
+def _cluster_100jobs(_runner: ExperimentRunner) -> RunOnce:
     from repro.cluster import ClusterSimulator, TraceSpec, generate_trace
 
     # Trace generation is cheap but stays outside the timer anyway so
@@ -344,45 +134,19 @@ def _cluster_100jobs(_ctx: ScenarioContext) -> RunOnce:
     return run_once
 
 
-def _baseline_macro_builder(
-    kind: str, model_name: str, total_batch: int, iterations: int
-) -> _t.Callable[[ScenarioContext], RunOnce]:
-    def build(ctx: ScenarioContext) -> RunOnce:
-        ctx.runner.model(model_name)  # cache the model outside the timer
+def _tune_vgg19(runner: ExperimentRunner) -> RunOnce:
+    from repro.tuning import PHASE1_HALVING, ConfigurationTuner
 
-        def run_once() -> ScenarioStats:
-            result, cluster = baseline_run(
-                ctx, kind, model_name, total_batch, iterations=iterations
-            )
-            return ScenarioStats(
-                simulated_seconds=result.total_time,
-                events=cluster.env.scheduled_events,
-            )
-
-        return run_once
-
-    return build
-
-
-@register(
-    "macro.tune_vgg19_serial",
-    MACRO,
-    "cold exhaustive two-phase tune of vgg19 (jobs=1, no result cache)",
-)
-def _tune_vgg19_serial(ctx: ScenarioContext) -> RunOnce:
-    import math
-
-    from repro.tuning import PHASE1_EXHAUSTIVE, ConfigurationTuner
-
-    partition = ctx.runner.partition("vgg19")
+    partition = runner.partition("vgg19")
+    depth = 3
 
     def run_once() -> ScenarioStats:
-        tuner = ConfigurationTuner(
-            partition, total_batch=256, num_workers=8, profile_iterations=3
-        )
-        result = tuner.tune(phase1=PHASE1_EXHAUSTIVE)
+        # A fresh tuner per repetition: serial, with no result cache.
+        result = ConfigurationTuner(
+            partition, total_batch=256, num_workers=8, profile_iterations=depth
+        ).tune(phase1=PHASE1_HALVING)
         simulated = sum(
-            case.per_iteration_time
+            depth * case.per_iteration_time
             for case in result.cases
             if not math.isinf(case.per_iteration_time)
         )
@@ -393,375 +157,53 @@ def _tune_vgg19_serial(ctx: ScenarioContext) -> RunOnce:
     return run_once
 
 
-@register(
-    "macro.tune_vgg19_parallel",
-    MACRO,
-    "warm-cache rerun of the same tune through the jobs=4 sweep engine: "
-    "every case measurement is a persistent-cache hit, the path "
-    "`repro figures` takes when regenerating artifacts",
-)
-def _tune_vgg19_parallel(ctx: ScenarioContext) -> RunOnce:
-    import math
-    import tempfile
+#: Every scenario ``repro bench`` can measure, by name.
+SCENARIOS: dict[str, Scenario] = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            "macro.vgg19_fela",
+            "tuned Fela BSP run: vgg19, batch 256, 8 workers, 12 iterations",
+            _vgg19_fela,
+        ),
+        Scenario(
+            "macro.fela_1000workers",
+            "Fela at scale: 1000 workers, two-level vgg19 partition, "
+            "hierarchical gradient sync, one iteration (restricted "
+            "fabric solves over group-local components)",
+            _fela_1000workers,
+        ),
+        Scenario(
+            "macro.cluster_100jobs",
+            "multi-tenant cluster service: 100-job Poisson trace scheduled "
+            "elastically onto one 32-GPU pool (admission, membership-driven "
+            "resizes, many runtimes on one shared clock)",
+            _cluster_100jobs,
+        ),
+        Scenario(
+            "macro.tune_vgg19",
+            "cold successive-halving two-phase tune of vgg19, batch 256, "
+            "8 workers, depth 3 (serial, no result cache; events counts "
+            "the simulated warm-up iterations)",
+            _tune_vgg19,
+        ),
+    )
+}
 
-    from repro.exec import ResultCache, SweepExecutor
-    from repro.tuning import PHASE1_EXHAUSTIVE, ConfigurationTuner
 
-    partition = ctx.runner.partition("vgg19")
-    cache_dir = tempfile.mkdtemp(prefix="fela-bench-cache-")
+def scenarios() -> list[Scenario]:
+    """All scenarios, name-sorted."""
+    return [SCENARIOS[name] for name in scenario_names()]
 
-    def tune(executor: SweepExecutor):
-        tuner = ConfigurationTuner(
-            partition,
-            total_batch=256,
-            num_workers=8,
-            profile_iterations=3,
-            executor=executor,
+
+def scenario_names() -> list[str]:
+    return sorted(SCENARIOS)
+
+
+def get_scenario(name: str) -> Scenario:
+    scenario = SCENARIOS.get(name)
+    if scenario is None:
+        raise BenchmarkError(
+            f"unknown scenario {name!r}; known: {', '.join(scenario_names())}"
         )
-        return tuner.tune(phase1=PHASE1_EXHAUSTIVE)
-
-    # Populate the persistent cache outside the timer: the timed body
-    # measures the sweep engine's rerun path, not the cold simulations.
-    with SweepExecutor(jobs=1, cache=ResultCache(cache_dir)) as warm:
-        tune(warm)
-
-    def run_once() -> ScenarioStats:
-        # A fresh executor + cache per repetition so the in-process memo
-        # is empty and every hit exercises the on-disk tier.
-        with SweepExecutor(jobs=4, cache=ResultCache(cache_dir)) as executor:
-            result = tune(executor)
-        simulated = sum(
-            case.per_iteration_time
-            for case in result.cases
-            if not math.isinf(case.per_iteration_time)
-        )
-        return ScenarioStats(
-            simulated_seconds=simulated, events=result.warmup_iterations
-        )
-
-    return run_once
-
-
-register(
-    "macro.vgg19_dp",
-    MACRO,
-    "data-parallel baseline: vgg19, batch 256, 8 workers, 12 iterations",
-)(_baseline_macro_builder("dp", "vgg19", 256, 12))
-
-register(
-    "macro.vgg19_mp",
-    MACRO,
-    "model-parallel baseline: vgg19, batch 256, 8 workers, 12 iterations",
-)(_baseline_macro_builder("mp", "vgg19", 256, 12))
-
-register(
-    "macro.vgg19_hp",
-    MACRO,
-    "hybrid-parallel baseline: vgg19, batch 256, 8 workers, 12 iterations",
-)(_baseline_macro_builder("hp", "vgg19", 256, 12))
-
-
-# -- micro scenarios ----------------------------------------------------------
-
-
-@register(
-    "micro.sim_event_churn",
-    MICRO,
-    "event-loop churn: timeouts, process resumption, any/all conditions",
-)
-def _sim_event_churn(_ctx: ScenarioContext) -> RunOnce:
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-
-        def ticker(period: float, count: int):
-            for _ in range(count):
-                yield env.timeout(period)
-
-        def conditioner(count: int):
-            for _ in range(count):
-                yield env.any_of(
-                    [env.timeout(0.002), env.timeout(0.003)]
-                )
-                yield env.all_of(
-                    [env.timeout(0.001), env.timeout(0.002)]
-                )
-
-        for worker in range(16):
-            env.process(ticker(0.001 * (worker + 1), 1500))
-        for _ in range(4):
-            env.process(conditioner(400))
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.fabric_transfer",
-    MICRO,
-    "max-min fair fabric under many overlapping flows (waterfill path)",
-)
-def _fabric_transfer(_ctx: ScenarioContext) -> RunOnce:
-    from repro.net import Fabric
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-        fabric = Fabric(env, num_nodes=8, link_bandwidth=1.25e9)
-
-        def sender(src: int, stride: int, count: int):
-            for index in range(count):
-                size = 1.0e6 + 1.0e5 * ((src + index) % 7)
-                yield fabric.transfer(src, (src + stride) % 8, size)
-
-        for src in range(8):
-            for stride in (1, 2, 3):
-                env.process(sender(src, stride, 80))
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.fabric_sparse_flows",
-    MICRO,
-    "many concurrent single-pair flows: disjoint components, the "
-    "incremental waterfill's restricted-solve path",
-)
-def _fabric_sparse_flows(_ctx: ScenarioContext) -> RunOnce:
-    from repro.net import Fabric
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-        num_nodes = 64
-        fabric = Fabric(env, num_nodes=num_nodes, link_bandwidth=1.25e9)
-
-        def sender(src: int, dst: int, count: int):
-            for index in range(count):
-                size = 1.0e6 + 1.0e5 * ((src + index) % 5)
-                yield fabric.transfer(src, dst, size)
-
-        # Every pair is its own connected component: an add/remove
-        # re-solves one flow, never the other 31 pairs.  400 transfers
-        # per pair lifts the repetition above the host noise floor.
-        for pair in range(num_nodes // 2):
-            env.process(sender(2 * pair, 2 * pair + 1, 400))
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.fabric_megacomponent",
-    MICRO,
-    "one ~1000-flow connected component: batched mega waterfills on "
-    "the full-solve path",
-)
-def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
-    from repro.net import Fabric
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-        num_nodes = 1024
-        bandwidth = 1.25e9
-        fabric = Fabric(env, num_nodes=num_nodes, link_bandwidth=bandwidth)
-
-        # A zigzag ring over all nodes: every even node sends to both
-        # odd neighbours, so every flow is transitively coupled through
-        # shared tx/rx NICs into ONE ~1000-flow component.  Whole waves
-        # land through transfer_many (one solve per wave) with equal
-        # sizes, so every flow finishes at the same instant (one batched
-        # removal per wave) — each wave costs exactly one full waterfill
-        # of the giant component.
-        ring = [
-            (even, (even + delta) % num_nodes, 2.0e6)
-            for even in range(0, num_nodes, 2)
-            for delta in (1, -1)
-        ]
-
-        def waves(count: int):
-            for _ in range(count):
-                yield env.all_of((fabric.transfer_many(ring),))
-
-        env.process(waves(6))
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.token_lifecycle",
-    MICRO,
-    "token server mint/assign/report churn without compute or fabric",
-)
-def _token_lifecycle(ctx: ScenarioContext) -> RunOnce:
-    from repro.core import FelaConfig
-    from repro.core.server import TokenServer
-
-    partition = ctx.runner.partition("vgg19")
-    # Enough iterations to lift the scenario well above the host timing
-    # noise floor (sub-10ms medians swing +-20% run to run).
-    iterations = 32
-
-    def run_once() -> ScenarioStats:
-        cluster = build_cluster(8)
-        env = cluster.env
-        config = FelaConfig(
-            partition=partition,
-            total_batch=512,
-            num_workers=8,
-            weights=(1, 2, 8),
-            conditional_subset_size=4,
-            iterations=iterations,
-        )
-        server = TokenServer(config, cluster)
-
-        def puller(wid: int):
-            while True:
-                token = yield from server.request_token(wid)
-                if token is None:
-                    return
-                yield from server.report_completion(wid, token)
-
-        def main():
-            for iteration in range(iterations):
-                server.begin_iteration(iteration)
-                pullers = [
-                    env.process(puller(wid))
-                    for wid in range(config.num_workers)
-                ]
-                yield env.all_of(pullers)
-                server.end_iteration(iteration)
-
-        env.process(main())
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.ring_allreduce",
-    MICRO,
-    "repeated 8-way ring all-reduce of a 50 MB gradient payload",
-)
-def _ring_allreduce(_ctx: ScenarioContext) -> RunOnce:
-    from repro.core.collectives import ring_allreduce
-
-    def run_once() -> ScenarioStats:
-        cluster = build_cluster(8)
-        env = cluster.env
-
-        def main():
-            for _ in range(30):
-                yield from ring_allreduce(
-                    cluster, list(range(8)), 5.0e7
-                )
-
-        env.process(main())
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.result_cache",
-    MICRO,
-    "result-cache churn: canonical hashing, atomic puts, memo and disk "
-    "hits, misses, and corrupt-entry eviction on fixed keys",
-)
-def _result_cache(_ctx: ScenarioContext) -> RunOnce:
-    import tempfile
-    from pathlib import Path
-
-    from repro.exec import ResultCache, canonical_key
-
-    cache_dir = tempfile.mkdtemp(prefix="fela-bench-cache-")
-    keys = [
-        canonical_key("bench", {"index": index, "weights": (1, 2, index)})
-        for index in range(64)
-    ]
-
-    def run_once() -> ScenarioStats:
-        writer = ResultCache(cache_dir)
-        writer.clear()  # every repetition starts from an empty store
-        for index, key in enumerate(keys):
-            writer.put(key, float(index))
-            writer.get(key)  # memo hit
-        reader = ResultCache(cache_dir)
-        for key in keys:
-            reader.get(key)  # disk hit
-            reader.get(canonical_key("bench-miss", {"key": key}))  # miss
-        for key in keys[::8]:
-            path = Path(cache_dir) / f"{key}.json"
-            path.write_text("{not json", encoding="utf-8")
-            fresh = ResultCache(cache_dir)
-            assert fresh.get(key) is None  # corrupt entry evicted
-        return ScenarioStats(simulated_seconds=0.0, events=len(keys))
-
-    return run_once
-
-
-@register(
-    "micro.object_churn",
-    MICRO,
-    "raw allocation of hot sim/token objects (the __slots__ ledger)",
-)
-def _object_churn(_ctx: ScenarioContext) -> RunOnce:
-    from repro.core.tokens import SampleRange, Token
-    from repro.sim import Environment
-    from repro.sim.events import Event
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-
-        def churner(count: int):
-            for _ in range(count):
-                Event(env)  # pending event, never scheduled
-                yield env.timeout(0.0001)
-
-        env.process(churner(15000))
-        env.run()
-        for index in range(30000):
-            samples = SampleRange(0, 16)
-            Token(
-                tid=index,
-                level=0,
-                iteration=0,
-                ordinal=index,
-                samples=samples,
-                deps=(),
-                home_worker=index % 8,
-            )
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-        )
-
-    return run_once
+    return scenario

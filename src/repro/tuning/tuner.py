@@ -86,7 +86,7 @@ class TuningResult:
     best_weights: tuple[int, ...]
     best_subset_size: int
     #: Iterations simulated across all cases (a resumed halving run
-    #: counts each of its iterations once).
+    #: counts each of its iterations once; an infeasible case, none).
     warmup_iterations: int
     #: Case measurements performed (shallow halving probes included).
     cases_profiled: int = 0
@@ -145,6 +145,12 @@ class TuningResult:
     def overall_gap(self) -> float:
         """Fig. 6(b): saving of the best case over the worst, all phases."""
         return self._gap(self.cases)
+
+
+def _built(times: _t.Sequence[float]) -> int:
+    """Cases that simulated: an infeasible case (``CapacityError`` at
+    construction) profiles as inf without running an iteration."""
+    return sum(1 for case_time in times if not math.isinf(case_time))
 
 
 class ConfigurationTuner:
@@ -292,7 +298,7 @@ class ConfigurationTuner:
                 self.profile_iterations,
             )
             profiled = len(survivors)
-            warmup = len(survivors) * self.profile_iterations
+            warmup = _built(times) * self.profile_iterations
         for index, (weights, case_time) in enumerate(
             zip(survivors, times)
         ):
@@ -325,7 +331,7 @@ class ConfigurationTuner:
             self.profile_iterations,
         )
         profiled += len(subsets)
-        warmup += len(subsets) * self.profile_iterations
+        warmup += _built(times) * self.profile_iterations
         index = len(cases)
         for subset, case_time in zip(subsets, times):
             cases.append(
@@ -385,14 +391,14 @@ class ConfigurationTuner:
                     [(weights, self.num_workers) for weights in survivors],
                     depth,
                 )
-                warmup += len(survivors) * depth
+                warmup += _built(times) * depth
             else:
                 runs = [live[weights] for weights in survivors]
                 times = [
                     math.inf if run is None else run.advance(depth)
                     for run in runs
                 ]
-                warmup += len(survivors) * (depth - done)
+                warmup += _built(times) * (depth - done)
                 done = depth
             profiled += len(survivors)
             if final:

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.perf import SCHEMA_VERSION
+from repro.perf import SCHEMA_VERSION, BenchRun, save_store
+from repro.perf.scenarios import SCENARIOS, Scenario
+from tests.perf.conftest import FAST_SCENARIO as SCENARIO
 
-
-SCENARIO = "micro.object_churn"
 FAST_ARGS = ["--scenarios", SCENARIO, "--repeats", "1", "--warmup", "0"]
+
+pytestmark = pytest.mark.usefixtures("fast_scenario")
 
 
 class TestBenchCommand:
@@ -17,7 +19,7 @@ class TestBenchCommand:
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
         assert "macro.vgg19_fela" in out
-        assert "micro.token_lifecycle" in out
+        assert "macro.tune_vgg19" in out
 
     def test_unknown_scenario_is_an_error(self, capsys):
         assert main(["bench", "--scenarios", "micro.nope"]) == 2
@@ -91,6 +93,38 @@ class TestBenchCommand:
         assert main(["bench", *FAST_ARGS, "--profile", "--top", "5"]) == 0
         out = capsys.readouterr().out
         assert "hotspots for" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--baseline", "before"],
+        ["--compare", "absent.json"],
+        ["--compare", "empty.json"],
+        ["--compare", "store.json", "--fail-on-regress", "-5"],
+        ["--compare", "store.json", "--baseline", "no-such-label"],
+    ],
+    ids=["baseline-without-compare", "missing-store", "empty-store",
+         "negative-threshold", "unknown-label"],
+)
+def test_bad_input_is_rejected_before_measuring(
+    flags, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    save_store("empty.json", [])
+    save_store("store.json", [BenchRun(label="before", records=())])
+    built = []
+
+    def build(_runner):
+        built.append(True)
+        raise AssertionError("a scenario was built")
+
+    monkeypatch.setitem(
+        SCENARIOS, "test.raises", Scenario("test.raises", "raises", build)
+    )
+    assert main(["bench", "--scenarios", "test.raises", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert built == []
 
 
 class TestBaselineLabel:

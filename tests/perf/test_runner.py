@@ -7,10 +7,8 @@ from repro.perf import measure_scenario, run_benchmarks
 from repro.perf.scenarios import Scenario, ScenarioStats
 
 
-def make_scenario(builder, name="test.scenario", kind="micro"):
-    return Scenario(
-        name=name, kind=kind, description="test-only", _builder=builder
-    )
+def make_scenario(builder, name="test.scenario"):
+    return Scenario(name=name, description="test-only", _builder=builder)
 
 
 def constant_scenario():
@@ -27,7 +25,6 @@ class TestMeasureScenario:
     def test_summary_fields(self):
         m = measure_scenario(constant_scenario(), repeats=3, warmup=1)
         assert m.name == "test.scenario"
-        assert m.kind == "micro"
         assert m.repeats == 3 and m.warmup == 1
         assert len(m.wall_seconds) == 3
         assert m.wall_seconds_median > 0
@@ -40,6 +37,7 @@ class TestMeasureScenario:
         # The stored record carries the same figures.
         rec = m.to_record()
         assert rec.name == m.name
+        assert rec.kind == "macro"
         assert rec.wall_seconds_median == m.wall_seconds_median
 
     def test_nondeterministic_scenario_raises(self):
@@ -76,12 +74,10 @@ class TestRunBenchmarks:
         with pytest.raises(BenchmarkError, match="no scenarios"):
             run_benchmarks([], label="x")
 
-    def test_real_micro_scenario_end_to_end(self):
-        run = run_benchmarks(
-            ["micro.object_churn"], label="t", repeats=1, warmup=0
-        )
+    def test_registered_scenario_end_to_end(self, fast_scenario):
+        run = run_benchmarks([fast_scenario], label="t", repeats=1, warmup=0)
         assert run.label == "t"
         (rec,) = run.records
-        assert rec.name == "micro.object_churn"
-        assert rec.kind == "micro"
+        assert rec.name == fast_scenario
+        assert rec.kind == "macro"
         assert rec.events > 0

@@ -1,10 +1,10 @@
-"""Scenario registry: lookup, kinds, and repeat determinism."""
+"""The scenario dict: the four macros, lookup, and repeat determinism."""
 
 import pytest
 
 from repro.errors import BenchmarkError
-from repro.perf import ScenarioContext, get_scenario, scenario_names, scenarios
-from repro.perf.scenarios import MACRO, MICRO, _REGISTRY, register
+from repro.harness import ExperimentRunner
+from repro.perf import get_scenario, scenario_names
 
 
 class TestRegistry:
@@ -12,30 +12,20 @@ class TestRegistry:
         with pytest.raises(BenchmarkError, match="unknown scenario"):
             get_scenario("macro.unheard_of")
 
-    def test_names_are_sorted_and_kinded(self):
-        names = scenario_names()
-        assert names == sorted(names)
-        assert "macro.vgg19_fela" in scenario_names(MACRO)
-        assert "micro.token_lifecycle" in scenario_names(MICRO)
-        assert not set(scenario_names(MACRO)) & set(scenario_names(MICRO))
-        assert {s.kind for s in scenarios(MACRO)} == {MACRO}
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(BenchmarkError, match="kind"):
-            register("meso.x", "meso", "neither macro nor micro")
-
-    def test_duplicate_name_rejected(self):
-        name = "micro.test_duplicate_probe"
-        register(name, MICRO, "probe")(lambda ctx: None)
-        try:
-            with pytest.raises(BenchmarkError, match="duplicate"):
-                register(name, MICRO, "probe again")(lambda ctx: None)
-        finally:
-            _REGISTRY.pop(name, None)
+    def test_registry_is_the_four_macros(self):
+        assert scenario_names() == [
+            "macro.cluster_100jobs",
+            "macro.fela_1000workers",
+            "macro.tune_vgg19",
+            "macro.vgg19_fela",
+        ]
 
 
 class TestScenarioDeterminism:
     def test_repeat_runs_produce_identical_stats(self):
-        scenario = get_scenario("micro.sim_event_churn")
-        run_once = scenario.build(ScenarioContext())
-        assert run_once() == run_once()
+        run_once = get_scenario("macro.tune_vgg19").build(ExperimentRunner())
+        first = run_once()
+        assert first == run_once()
+        # The halving tune's simulated iterations: 10 + 5 + 3 in
+        # Phase 1 and 3 x 3 in Phase 2.
+        assert first.events == 27

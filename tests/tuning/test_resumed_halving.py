@@ -104,15 +104,19 @@ def test_advance_rejects_ssp(vgg19_partition):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, warmup",
     [
-        ClusterSpec(num_nodes=8),
-        OOM_SPEC,
+        # 10 + 5 + 3 Phase-1 iterations plus 3 x 3 in Phase 2, against
+        # 10 + 5 x 2 + 3 x 3 + 9 restarted.
+        (ClusterSpec(num_nodes=8), (27, 38)),
+        # The (1, 8, 8) candidate OOMs at construction and is pruned at
+        # rung 1 without simulating: 9 + 5 + 3 + 9 and 9 + 10 + 9 + 9.
+        (OOM_SPEC, (26, 37)),
     ],
     ids=["plain", "oom"],
 )
 def test_resumed_halving_matches_restarted_halving(
-    vgg19_partition, spec, monkeypatch
+    vgg19_partition, spec, warmup, monkeypatch
 ):
     def tune():
         return ConfigurationTuner(
@@ -138,12 +142,10 @@ def test_resumed_halving_matches_restarted_halving(
         restarted.cases_profiled,
         restarted.cases_pruned,
     )
-    # Warm-up counts what each path simulated: 10 + 5 + 3 Phase-1
-    # iterations plus 3 x 3 in Phase 2, against 10 + 5 x 2 + 3 x 3 + 9.
-    assert (resumed.warmup_iterations, restarted.warmup_iterations) == (
-        27,
-        38,
-    )
+    # Warm-up counts what each path simulated.
+    assert (
+        resumed.warmup_iterations, restarted.warmup_iterations
+    ) == warmup
 
 
 def test_oom_shape_has_an_infeasible_candidate(vgg19_partition):
@@ -151,6 +153,18 @@ def test_oom_shape_has_an_infeasible_candidate(vgg19_partition):
         FelaRuntime(
             _config(vgg19_partition, (1, 8, 8), 3), Cluster(OOM_SPEC)
         )
+
+
+def test_exhaustive_warmup_skips_the_infeasible_candidate(vgg19_partition):
+    result = ConfigurationTuner(
+        vgg19_partition,
+        total_batch=256,
+        num_workers=8,
+        cluster_spec=OOM_SPEC,
+        profile_iterations=3,
+    ).tune()
+    # 9 of 10 Phase-1 candidates and 3 Phase-2 subsets, 3 iterations each.
+    assert result.warmup_iterations == (9 + 3) * 3
 
 
 def test_ssp_halving_still_resimulates(vgg19_partition):
