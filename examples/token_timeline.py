@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Visualize token scheduling: a Gantt view of one Fela iteration.
 
-Attaches a :class:`~repro.metrics.TimelineRecorder` to the runtime and
-renders per-worker activity, with and without a straggler.  The second
+Traces each run, rebuilds a :class:`~repro.metrics.TimelineRecorder`
+from the trace events and renders per-worker activity, with and without a straggler.  The second
 chart makes the paper's elasticity claim visible: worker 0 sleeps, and
 the helpers' rows grow by exactly its stolen tokens.
 
@@ -12,6 +12,7 @@ Run:
 
 from repro import FelaConfig, FelaRuntime, get_model, paper_partition
 from repro.metrics import TimelineRecorder
+from repro.obs import Tracer
 from repro.stragglers import RoundRobinStraggler
 
 
@@ -25,10 +26,9 @@ def run_and_render(title, straggler=None):
         conditional_subset_size=2,
         iterations=1,
     )
-    recorder = TimelineRecorder()
-    result = FelaRuntime(
-        config, straggler=straggler, recorder=recorder
-    ).run()
+    tracer = Tracer()
+    result = FelaRuntime(config, straggler=straggler, tracer=tracer).run()
+    recorder = TimelineRecorder.from_events(tracer.events)
     print(title)
     print(recorder.render_gantt(width=72))
     print(

@@ -21,7 +21,7 @@ substrate:
 * :mod:`repro.analysis` — the whole-program determinism analyzer
   (``repro analyze``) and the opt-in runtime invariant checker;
 * :mod:`repro.obs` — structured tracing (Chrome trace / Perfetto
-  export), the metrics registry, and the plain-text run report (see
+  export) and the plain-text run report (see
   ``docs/observability.md``).
 
 Quickstart::
@@ -66,12 +66,7 @@ if _t.TYPE_CHECKING:
     from repro.harness import ExperimentRunner, ExperimentSpec
     from repro.metrics import RunResult, average_throughput, per_iteration_delay
     from repro.models import ModelGraph, available_models, get_model
-    from repro.obs import (
-        MetricsRegistry,
-        NullTracer,
-        TraceEvent,
-        Tracer,
-    )
+    from repro.obs import NullTracer, TraceEvent, Tracer
     from repro.partition import Partition, SubModel, bin_partition, paper_partition
     from repro.profiling import ThroughputProfiler
     from repro.stragglers import (
@@ -101,7 +96,6 @@ __all__ = [
     "HybridParallel",
     "InvariantChecker",
     "InvariantViolation",
-    "MetricsRegistry",
     "ModelGraph",
     "ModelParallel",
     "NoStraggler",
@@ -152,7 +146,7 @@ __getattr__, __dir__ = lazy_exports(
             "RunResult", "average_throughput", "per_iteration_delay",
         ),
         "repro.models": ("ModelGraph", "available_models", "get_model"),
-        "repro.obs": ("MetricsRegistry", "NullTracer", "TraceEvent", "Tracer"),
+        "repro.obs": ("NullTracer", "TraceEvent", "Tracer"),
         "repro.partition": (
             "Partition", "SubModel", "bin_partition", "paper_partition",
         ),

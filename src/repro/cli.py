@@ -11,11 +11,9 @@ Commands map onto the library's public API:
     partition when one exists).
 ``run MODEL --runtime {fela,dp,mp,hp,proactive}``
     One training run; optional straggler injection.  ``--trace-out F``
-    additionally writes a Chrome trace (Fela runtime only).
-``trace MODEL``
-    A traced Fela run: Chrome trace JSON (open in Perfetto or
-    ``chrome://tracing``), optional metrics CSV, and a plain-text run
-    report with critical-path and straggler-attribution analysis.
+    (Fela runtime only) also writes a Chrome trace JSON (open in
+    Perfetto or ``chrome://tracing``) and prints a plain-text run report
+    with critical-path and straggler-attribution analysis.
 ``compare MODEL --batches 64,128,...``
     Fig. 8-style comparison across all runtimes.
 ``tune MODEL --batch B``
@@ -240,7 +238,7 @@ def _cmd_partition(args: argparse.Namespace) -> str:
 def _cmd_run(args: argparse.Namespace) -> str:
     from repro.faults import parse_faults
     from repro.harness import ExperimentRunner, ExperimentSpec
-    from repro.obs import Sampler, Tracer, write_chrome_trace
+    from repro.obs import Sampler, Tracer, render_run_report, write_chrome_trace
 
     # Open the ledger first: a bad path fails before any simulation.
     with _command_ledger(args) as ledger:
@@ -315,65 +313,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 events=tracer.events if tracer is not None else (),
             )
             table += f"\nrecorded run {run_id} in {args.ledger}"
-        return table
-
-
-def _cmd_trace(args: argparse.Namespace) -> str:
-    from repro.harness import ExperimentRunner, ExperimentSpec
-    from repro.obs import (
-        MetricsRegistry,
-        Sampler,
-        Tracer,
-        render_run_report,
-        write_chrome_trace,
-        write_metrics_csv,
-    )
-
-    with _command_ledger(args) as ledger:
-        runner = ExperimentRunner()
-        spec = ExperimentSpec(
-            model_name=args.model,
-            total_batch=args.batch,
-            num_workers=args.workers,
-            iterations=args.iterations,
-        )
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        sampler = Sampler(args.sample) if args.sample is not None else None
-        result = runner.run(
-            "fela",
-            spec,
-            parse_straggler(args.straggler),
-            tracer=tracer,
-            metrics=metrics,
-            sampler=sampler,
-        )
-        lines = []
-        count = write_chrome_trace(
-            args.out,
-            tracer.events,
-            samples=sampler.samples if sampler is not None else (),
-        )
-        lines.append(f"wrote {count} trace events to {args.out}")
-        if args.metrics_csv:
-            write_metrics_csv(args.metrics_csv, metrics)
-            lines.append(f"wrote metrics CSV to {args.metrics_csv}")
-        if ledger is not None:
-            from repro.store import run_row_from_result
-
-            run_id = ledger.record_run(
-                command="trace",
-                kind="fela",
-                result=result,
-                label=args.model,
-                config=run_row_from_result(result),
-                samples=sampler.samples if sampler is not None else (),
-                events=tracer.events,
-            )
-            lines.append(f"recorded run {run_id} in {args.ledger}")
-    lines.append("")
-    lines.append(render_run_report(result, tracer.events, metrics))
-    return "\n".join(lines)
+    if tracer is not None:
+        table += "\n\n" + render_run_report(result, tracer.events)
+    return table
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
@@ -784,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         default=None,
         metavar="FILE",
-        help="also write a Chrome trace JSON (fela runtime only)",
+        help="also write a Chrome trace JSON and print the run report "
+        "(fela runtime only)",
     )
     run.add_argument(
         "--faults",
@@ -807,37 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger", default=None, metavar="FILE",
         help="record the run (config, stats, samples, trace events) in "
         "this run ledger",
-    )
-
-    trace = sub.add_parser(
-        "trace", help="traced Fela run: Chrome trace + run report"
-    )
-    trace.add_argument("model")
-    trace.add_argument("--batch", type=int, default=256)
-    trace.add_argument("--workers", type=int, default=8)
-    trace.add_argument("--iterations", type=int, default=3)
-    trace.add_argument(
-        "--straggler",
-        default="none",
-        help="'none', 'rr:D' (round-robin, D s) or 'prob:P:D'",
-    )
-    trace.add_argument(
-        "--out", default="trace.json", metavar="FILE",
-        help="Chrome trace JSON output path",
-    )
-    trace.add_argument(
-        "--metrics-csv", default=None, metavar="FILE",
-        help="also dump the metrics registry as CSV",
-    )
-    trace.add_argument(
-        "--sample", type=float, default=None, metavar="SECONDS",
-        help="sample gauge time-series every SECONDS of simulated time "
-        "(exported as Chrome counter tracks)",
-    )
-    trace.add_argument(
-        "--ledger", default=None, metavar="FILE",
-        help="record the traced run (config, stats, samples, events) "
-        "in this run ledger",
     )
 
     compare = sub.add_parser("compare", help="compare all runtimes")
@@ -1042,7 +954,6 @@ _COMMANDS: dict[
     "profile": _cmd_profile,
     "partition": _cmd_partition,
     "run": _cmd_run,
-    "trace": _cmd_trace,
     "compare": _cmd_compare,
     "tune": _cmd_tune,
     "cache": _cmd_cache,

@@ -28,21 +28,46 @@ from repro.core.worker import Worker
 from repro.errors import ConfigurationError
 from repro.hardware import Cluster, ClusterSpec
 from repro.metrics import IterationRecord, RunResult
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import NULL_SAMPLER, NullSampler
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.sim import Event
 from repro.stragglers import NoStraggler, StragglerInjector
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.analysis.invariants import InvariantChecker
     from repro.faults.controller import FaultController
-    from repro.obs.protocols import SpanSink
     from repro.sim import Process
 
 
+def _latency_summary(latencies: list[float]) -> dict[str, float]:
+    """Count, total, extremes, mean and nearest-rank p50/p95."""
+    count = len(latencies)
+    ordered = sorted(latencies)
+    total = sum(latencies)
+
+    def rank(fraction: float) -> float:
+        return ordered[min(count - 1, int(fraction * count))] if count else 0.0
+
+    return {
+        "count": count,
+        "total": total,
+        "min": min(latencies, default=0.0),
+        "max": max(latencies, default=0.0),
+        "mean": total / count if count else 0.0,
+        "p50": rank(0.50),
+        "p95": rank(0.95),
+    }
+
+
 class FelaRuntime:
-    """Drives one complete Fela training run on a simulated cluster."""
+    """Drives one complete Fela training run on a simulated cluster.
+
+    ``tracer`` records the run's trace events, ``invariants`` checks
+    them as they are emitted, ``faults`` injects failures and elastic
+    membership and ``sampler`` snapshots gauges; all are optional.
+    ``RunResult.stats`` needs none of them: it is read from the
+    counters the token server, the workers and the runtime keep.
+    """
 
     name = "fela"
 
@@ -51,10 +76,8 @@ class FelaRuntime:
         config: FelaConfig,
         cluster: Cluster | None = None,
         straggler: StragglerInjector | None = None,
-        recorder: "SpanSink | None" = None,
         invariants: "InvariantChecker | None" = None,
         tracer: NullTracer | None = None,
-        metrics: MetricsRegistry | None = None,
         faults: "FaultController | None" = None,
         sampler: NullSampler | None = None,
     ) -> None:
@@ -67,22 +90,10 @@ class FelaRuntime:
         #: validating token conservation and sync accounting from the
         #: tracer stream (off by default; tests turn it on).
         self.invariants = invariants
-        #: Metrics registry shared with the token server; ``run()``
-        #: derives ``RunResult.stats`` from it.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Optional :class:`~repro.metrics.timeline.TimelineRecorder` (or
-        #: any :class:`~repro.obs.protocols.SpanSink`): fed from the trace
-        #: stream after the run, so the timeline and the trace exporters
-        #: share one instrumentation surface.
-        self.recorder = recorder
-        if tracer is None:
-            # A recorder without a tracer still needs the event stream;
-            # otherwise tracing stays off (the shared null tracer).
-            tracer = Tracer() if recorder is not None else NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         env = self.cluster.env
         self.tracer.attach_env(env)
-        self.server = TokenServer(config, self.cluster, metrics=self.metrics)
+        self.server = TokenServer(config, self.cluster)
         # The one wiring point for all components: they emit through
         # ``env.tracer``.  A checker sits in front of the recording
         # tracer, checks each event and forwards it.
@@ -96,6 +107,8 @@ class FelaRuntime:
         ]
         self._validate_memory()
         self._records: list[IterationRecord] = []
+        #: level -> all-reduce wire bytes summed over the run.
+        self._sync_bytes: dict[int, float] = {}
         #: iteration -> AllOf event of that iteration's level syncs.
         self._sync_done: dict[int, Event] = {}
         #: iteration -> event fired when the iteration's tokens are minted.
@@ -190,10 +203,6 @@ class FelaRuntime:
         total_time = env.now - started_at
         if self.sampler.enabled:
             self.sampler.finish(env.now)
-        if self.recorder is not None:
-            # The timeline is a post-run *view* of the trace stream, not a
-            # second instrumentation surface.
-            self.recorder.ingest(self.tracer.events)
         return RunResult(
             runtime_name=self.name,
             model_name=self.config.partition.model.name,
@@ -205,61 +214,38 @@ class FelaRuntime:
         )
 
     def _final_stats(self, total_time: float) -> dict[str, _t.Any]:
-        """Fold per-worker end-of-run gauges into the registry and build
-        the backward-compatible ``stats`` payload from it."""
-        metrics = self.metrics
-        for worker in self.workers:
-            wid = worker.wid
-            metrics.gauge("worker.compute_seconds", worker=wid).set(
-                worker.compute_seconds
-            )
-            metrics.gauge("worker.fetch_seconds", worker=wid).set(
-                worker.fetch_seconds
-            )
-            metrics.gauge("worker.delay_seconds", worker=wid).set(
-                worker.delay_seconds
-            )
-            metrics.gauge("worker.idle_seconds", worker=wid).set(
+        """The ``stats`` payload, read from the counters the token
+        server, the workers and the runtime keep."""
+        workers = self.workers
+        server = self.server
+        stats = {
+            "ts_requests": server.requests,
+            "ts_conflicts": server.conflicts,
+            "tokens_by_worker": server.tokens_by_worker,
+            "bytes_fetched": sum(w.bytes_fetched for w in workers),
+            "network_bytes": self.cluster.fabric.stats.bytes_transferred,
+            "compute_seconds_by_worker": [w.compute_seconds for w in workers],
+            "fetch_seconds_by_worker": [w.fetch_seconds for w in workers],
+            "idle_seconds_by_worker": [
                 max(
                     0.0,
                     total_time
-                    - worker.compute_seconds
-                    - worker.fetch_seconds
-                    - worker.delay_seconds,
+                    - w.compute_seconds
+                    - w.fetch_seconds
+                    - w.delay_seconds,
                 )
-            )
-            metrics.gauge("worker.bytes_fetched", worker=wid).set(
-                worker.bytes_fetched
-            )
-        metrics.gauge("net.bytes").set(
-            self.cluster.fabric.stats.bytes_transferred
-        )
-        wids = [worker.wid for worker in self.workers]
-        latency = self.server._request_latency
-        stats = {
-            "ts_requests": self.server.requests,
-            "ts_conflicts": self.server.conflicts,
-            "tokens_by_worker": dict(self.server.tokens_by_worker),
-            "bytes_fetched": sum(w.bytes_fetched for w in self.workers),
-            "network_bytes": metrics.gauge("net.bytes").value,
-            "compute_seconds_by_worker": [
-                metrics.gauge("worker.compute_seconds", worker=wid).value
-                for wid in wids
-            ],
-            "fetch_seconds_by_worker": [
-                metrics.gauge("worker.fetch_seconds", worker=wid).value
-                for wid in wids
-            ],
-            "idle_seconds_by_worker": [
-                metrics.gauge("worker.idle_seconds", worker=wid).value
-                for wid in wids
+                for w in workers
             ],
             "straggler_delay_seconds_by_worker": [
-                metrics.gauge("worker.delay_seconds", worker=wid).value
-                for wid in wids
+                w.delay_seconds for w in workers
             ],
-            "sync_bytes_by_level": metrics.series("sync.bytes", "level"),
-            "ts_request_latency": latency.fields(),
+            "sync_bytes_by_level": dict(
+                sorted(
+                    self._sync_bytes.items(),
+                    key=lambda item: repr(item[0]),
+                )
+            ),
+            "ts_request_latency": _latency_summary(server.request_latencies),
             "weights": self.config.weights,
             "subset_size": self.config.subset_size,
         }
@@ -393,7 +379,6 @@ class FelaRuntime:
         tracer = env.tracer
         if tracer.enabled:
             tracer.sync_started(iteration, level, participants)
-        start = env.now
         if self.config.collective == "hierarchical" and len(participants) > 3:
             # √k-sized groups over the (sorted) participant list.
             k = len(participants)
@@ -412,11 +397,7 @@ class FelaRuntime:
                 submodel.param_bytes,
                 context=(iteration, level),
             )
-        self.metrics.counter("sync.bytes", level=level).inc(wire)
-        self.metrics.counter("sync.count", level=level).inc()
-        self.metrics.histogram("sync.seconds", level=level).observe(
-            env.now - start
-        )
+        self._sync_bytes[level] = self._sync_bytes.get(level, 0) + wire
         if tracer.enabled:
             tracer.level_synced(iteration, level, participants, wire)
 

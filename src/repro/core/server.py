@@ -31,7 +31,6 @@ from repro.core.generator import TokenGenerator
 from repro.core.tokens import InfoMapping, Token
 from repro.errors import SchedulingError
 from repro.hardware import Cluster
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -41,12 +40,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - type-only import
 class TokenServer:
     """Scheduler state shared by all workers of one Fela run."""
 
-    def __init__(
-        self,
-        config: FelaConfig,
-        cluster: Cluster,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, config: FelaConfig, cluster: Cluster) -> None:
         if config.num_workers > cluster.num_nodes:
             raise SchedulingError(
                 f"{config.num_workers} workers exceed the "
@@ -70,9 +64,6 @@ class TokenServer:
         #: Assignments revoked by a recovery sweep, awaiting the
         #: assignee's acknowledgement (it must drop the token untrained).
         self._revoked: set[int] = set()
-        #: Assignment counter roll-backs per worker (metric counters are
-        #: monotonic, so reclaims subtract through this side table).
-        self._assignment_adjustment: dict[int, int] = {}
         #: (iteration, level) -> tids minted for it, so sync setup scans
         #: only the level's tokens instead of the whole registry.
         self._token_index: dict[tuple[int, int], list[int]] = {}
@@ -83,17 +74,15 @@ class TokenServer:
         #: (iteration, level) -> completion event.
         self._level_done: dict[tuple[int, int], Event] = {}
         self._bucket_changed: Event = self.env.event()
-        #: Statistics live in the metrics registry (the runtime shares
-        #: its registry so ``RunResult.stats`` reads the same numbers).
-        #: Metric handles are resolved once — the request path is hot.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._requests = self.metrics.counter("ts.requests")
-        self._conflicts = self.metrics.counter("ts.conflicts")
-        self._request_latency = self.metrics.histogram("ts.request_latency")
-        self._tokens_assigned = [
-            self.metrics.counter("ts.tokens_assigned", worker=wid)
-            for wid in range(config.num_workers)
-        ]
+        #: Request round-trips served, and the contended shared-pool
+        #: requests among them that paid the locking penalty.
+        self.requests = 0
+        self.conflicts = 0
+        #: Sim-time length of every answered request, in answer order.
+        self.request_latencies: list[float] = []
+        #: wid -> tokens assigned over the run, net of assignments rolled
+        #: back by failure recovery.
+        self._tokens_assigned = [0] * config.num_workers
         #: iteration -> wid -> tokens assigned (per-iteration attribution,
         #: needed when iterations overlap).
         self.tokens_by_worker_per_iteration: dict[int, dict[int, int]] = {}
@@ -101,27 +90,10 @@ class TokenServer:
     # -- statistics views ---------------------------------------------------------
 
     @property
-    def requests(self) -> int:
-        """Total TS request round-trips served."""
-        return int(self._requests.value)
-
-    @property
-    def conflicts(self) -> int:
-        """Contended shared-pool requests that paid the locking penalty."""
-        return int(self._conflicts.value)
-
-    @property
     def tokens_by_worker(self) -> dict[int, int]:
         """Tokens assigned per worker over the whole run (net of any
         assignments rolled back by failure recovery)."""
-        return {
-            wid: max(
-                0,
-                int(counter.value)
-                - self._assignment_adjustment.get(wid, 0),
-            )
-            for wid, counter in enumerate(self._tokens_assigned)
-        }
+        return dict(enumerate(self._tokens_assigned))
 
     # -- iteration lifecycle ------------------------------------------------------
 
@@ -229,7 +201,7 @@ class TokenServer:
                 # in-flight request into the conflict accounting.
                 if not own_stb_first:
                     self.distributor.request_finished()
-            self._requests.inc()
+            self.requests += 1
             if self.faults is not None:
                 self.faults.touch(wid)
 
@@ -243,7 +215,7 @@ class TokenServer:
                 if tracer.enabled:
                     tracer.token_assigned(token, wid)
                 self._assigned[token.iteration][token.level] += 1
-                self._tokens_assigned[wid].inc()
+                self._tokens_assigned[wid] += 1
                 per_iteration = self.tokens_by_worker_per_iteration.get(
                     token.iteration
                 )
@@ -254,10 +226,10 @@ class TokenServer:
                 if contended:
                     # Locking: this request raced others on the shared pool
                     # and pays the serialization/retry cost (Section III-E).
-                    self._conflicts.inc()
+                    self.conflicts += 1
                     yield self.env.timeout(self.config.conflict_overhead)
                 yield self.env.timeout(latency)  # reply travels back
-                self._request_latency.observe(self.env.now - request_start)
+                self.request_latencies.append(self.env.now - request_start)
                 if tracer.enabled:
                     tracer.ts_request(
                         wid,
@@ -271,7 +243,7 @@ class TokenServer:
 
             if self._exhausted_for(wid):
                 yield self.env.timeout(latency)
-                self._request_latency.observe(self.env.now - request_start)
+                self.request_latencies.append(self.env.now - request_start)
                 if tracer.enabled:
                     tracer.ts_request(
                         wid,
@@ -326,9 +298,7 @@ class TokenServer:
         wid = self.worker_slots
         self.worker_slots += 1
         self.bucket.ensure_worker(wid)
-        self._tokens_assigned.append(
-            self.metrics.counter("ts.tokens_assigned", worker=wid)
-        )
+        self._tokens_assigned.append(0)
         # Per-iteration attribution dicts are lazy; the new worker's
         # entries appear on its first assignment.
         return wid
@@ -489,9 +459,7 @@ class TokenServer:
 
     def _note_unassigned(self, wid: int, iteration: int) -> None:
         """Roll one assignment out of the per-worker attribution."""
-        self._assignment_adjustment[wid] = (
-            self._assignment_adjustment.get(wid, 0) + 1
-        )
+        self._tokens_assigned[wid] -= 1
         per_iteration = self.tokens_by_worker_per_iteration.get(iteration)
         if per_iteration is not None and per_iteration.get(wid, 0) > 0:
             per_iteration[wid] -= 1

@@ -58,11 +58,11 @@ class AnalysisError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """The tracing/metrics subsystem was used or fed incorrectly.
+    """The tracing or sampling subsystem was used or fed incorrectly.
 
     Examples: emitting events from a tracer that was never attached to a
-    simulation environment, registering the same metric name with two
-    different metric types, or exporting/validating a malformed trace.
+    simulation environment, a non-positive sampling interval, or
+    exporting/validating a malformed trace.
     """
 
 

@@ -148,9 +148,6 @@ class FaultController:
         server.faults = self
         server.distributor.attach_membership(self.membership)
         server.generator.home_resolver = self._resolve_home
-        self._detection = runtime.metrics.histogram(
-            "fault.detection_seconds"
-        )
         env = runtime.cluster.env
         for wid in range(num_workers):
             self._deadlines[wid] = env.now + self.lease_timeout
@@ -314,7 +311,6 @@ class FaultController:
             lost_compute_seconds=lost_compute,
         )
         self._ledger.failures.append(record)
-        self._detection.observe(record.detection_seconds)
         tracer = env.tracer
         if tracer.enabled:
             tracer.worker_failed(

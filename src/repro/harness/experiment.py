@@ -233,7 +233,6 @@ class ExperimentRunner:
         spec: ExperimentSpec,
         straggler: StragglerInjector | None = None,
         tracer: _t.Any | None = None,
-        metrics: _t.Any | None = None,
         faults: _t.Any | None = None,
         invariants: _t.Any | None = None,
         sampler: _t.Any | None = None,
@@ -241,9 +240,8 @@ class ExperimentRunner:
     ) -> RunResult:
         """Run one runtime kind against a spec and return its result.
 
-        ``tracer`` / ``metrics`` (a :class:`~repro.obs.tracer.Tracer` and
-        a :class:`~repro.obs.metrics.MetricsRegistry`) attach observability
-        to the run; ``faults`` (a
+        ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) records the
+        run's trace events; ``faults`` (a
         :class:`~repro.faults.controller.FaultController`) injects
         failures and elastic membership; ``invariants`` (an
         :class:`~repro.analysis.invariants.InvariantChecker`) validates
@@ -253,13 +251,13 @@ class ExperimentRunner:
         runtime supports any of them, so passing one with a baseline
         kind is a configuration error.  Attached runs execute
         in-process and bypass the result cache — their side channels
-        (trace events, metric streams, fault controllers, sample
-        streams) live outside the cached :class:`RunResult`.
+        (trace events, fault controllers, sample streams) live outside
+        the cached :class:`RunResult`, whose ``stats`` carry the run's
+        totals either way.
         """
         straggler = straggler or NoStraggler()
         if (
             tracer is None
-            and metrics is None
             and faults is None
             and invariants is None
             and sampler is None
@@ -290,7 +288,7 @@ class ExperimentRunner:
                 )
         if kind != "fela":
             raise ConfigurationError(
-                f"tracing/metrics/faults/invariants/sampling are only "
+                f"tracing/faults/invariants/sampling are only "
                 f"supported for the 'fela' runtime, not {kind!r}"
             )
         cluster = Cluster(cluster_spec)
@@ -304,7 +302,6 @@ class ExperimentRunner:
             cluster,
             straggler=straggler,
             tracer=tracer,
-            metrics=metrics,
             faults=faults,
             invariants=invariants,
             sampler=sampler,

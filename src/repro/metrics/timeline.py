@@ -1,10 +1,11 @@
 """Execution timelines: per-worker activity traces and a text Gantt view.
 
 The paper's load-balance story ("faster workers ... earn more workload to
-compute") is best seen on a timeline.  A :class:`TimelineRecorder` can be
-attached to a :class:`~repro.core.runtime.FelaRuntime`; workers then log
-every input fetch and every token computation, and the recorder can
-answer utilization questions and render a Gantt chart in plain text.
+compute") is best seen on a timeline.  A :class:`TimelineRecorder` is
+built from a traced run's events (:meth:`TimelineRecorder.from_events`):
+every input fetch and every token computation becomes a span, and the
+recorder can answer utilization questions and render a Gantt chart in
+plain text.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class TimelineRecorder:
         """Replay compute/fetch spans from a trace-event stream.
 
         ``events`` is a sequence of :class:`~repro.obs.events.TraceEvent`
-        (a :class:`~repro.obs.tracer.Tracer`'s ``events``); the runtime
-        calls this after a run so the timeline is a view of the same
-        trace stream the exporters consume.
+        (a :class:`~repro.obs.tracer.Tracer`'s ``events``), so the
+        timeline is a view of the same trace stream the exporters
+        consume.
         """
         # Imported lazily: repro.metrics must stay importable without
         # dragging in the obs exporters (which import it back for types).
@@ -76,7 +77,7 @@ class TimelineRecorder:
             self.record(worker, kind, start, end, label)
 
     @classmethod
-    def from_trace(cls, events: _t.Iterable[_t.Any]) -> "TimelineRecorder":
+    def from_events(cls, events: _t.Iterable[_t.Any]) -> "TimelineRecorder":
         """Build a recorder directly from a trace-event stream."""
         recorder = cls()
         recorder.ingest(events)

@@ -1,4 +1,4 @@
-"""Observability: structured tracing + metrics for the token lifecycle.
+"""Observability: structured tracing for the token lifecycle.
 
 The paper's central claims — elastic straggler absorption, sync/compute
 overlap, the two-phase tuner's cost model — are temporal claims; this
@@ -9,22 +9,22 @@ package makes them *visible*:
   assigned -> trained -> reported -> level-synced) plus network-transfer,
   straggler-delay, and TS-request spans.  The default
   :class:`NullTracer` makes instrumentation free when tracing is off.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters /
-  gauges / histograms that the runtime derives ``RunResult.stats`` from.
 * :mod:`repro.obs.timeseries` — a sim-time-driven :class:`Sampler`
   (null-object pair, like the tracer) snapshotting gauges — worker
   phase, buffer depth, fabric utilization, membership, staleness — at a
   fixed sim-second interval with zero schedule perturbation.
 * :mod:`repro.obs.exporters` — Chrome trace-event JSON (open in
-  Perfetto or ``chrome://tracing``), CSV metric dumps, schema validation,
-  and the bridge feeding the ASCII timeline from the trace stream.
+  Perfetto or ``chrome://tracing``), schema validation, and the bridge
+  feeding the ASCII timeline from the trace stream.
 * :mod:`repro.obs.report` — plain-text run report with critical-path and
   straggler-attribution analysis.
-* :mod:`repro.obs.protocols` — the ``SpanSink`` seam for the
-  runtime's timeline recorder.
 
-CLI entry points: ``repro trace <model>``, ``--trace-out`` on
-``repro run``, and ``python -m repro.obs.validate`` for trace files.
+Run totals (TS requests and conflicts, per-worker seconds, sync bytes)
+are not here: ``RunResult.stats`` reads them from the counters the
+token server, the workers and the runtime keep.
+
+CLI entry points: ``--trace-out`` on ``repro run`` (trace file plus the
+run report) and ``python -m repro.obs.validate`` for trace files.
 """
 
 import typing as _t
@@ -67,21 +67,12 @@ if _t.TYPE_CHECKING:
         chrome_trace,
         complete_events,
         dump_chrome_trace,
-        metrics_to_csv,
         read_chrome_trace,
         timeline_spans,
         validate_chrome_trace,
         verify_causal_chains,
         write_chrome_trace,
-        write_metrics_csv,
     )
-    from repro.obs.metrics import (
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsRegistry,
-    )
-    from repro.obs.protocols import SpanSink
     from repro.obs.report import (
         critical_path,
         render_run_report,
@@ -108,7 +99,6 @@ __all__ = [
     "CAT_TOKEN",
     "CAT_TS",
     "CAT_WORKER",
-    "Counter",
     "EV_ALLREDUCE",
     "EV_ASSIGNED",
     "EV_BUFFERED",
@@ -128,9 +118,6 @@ __all__ = [
     "EV_WORKER_FAILED",
     "EV_WORKER_JOINED",
     "EV_WORKER_LEFT",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_SAMPLER",
     "NULL_TRACER",
     "NullSampler",
@@ -140,7 +127,6 @@ __all__ = [
     "SERIES",
     "Sample",
     "Sampler",
-    "SpanSink",
     "TOKEN_LIFECYCLE",
     "TS_TRACK",
     "TraceEvent",
@@ -149,7 +135,6 @@ __all__ = [
     "complete_events",
     "critical_path",
     "dump_chrome_trace",
-    "metrics_to_csv",
     "read_chrome_trace",
     "render_run_report",
     "series_keys",
@@ -159,7 +144,6 @@ __all__ = [
     "validate_chrome_trace",
     "verify_causal_chains",
     "write_chrome_trace",
-    "write_metrics_csv",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -177,14 +161,9 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.obs.exporters": (
             "chrome_trace", "complete_events", "dump_chrome_trace",
-            "metrics_to_csv", "read_chrome_trace", "timeline_spans",
-            "validate_chrome_trace", "verify_causal_chains",
-            "write_chrome_trace", "write_metrics_csv",
+            "read_chrome_trace", "timeline_spans", "validate_chrome_trace",
+            "verify_causal_chains", "write_chrome_trace",
         ),
-        "repro.obs.metrics": (
-            "Counter", "Gauge", "Histogram", "MetricsRegistry",
-        ),
-        "repro.obs.protocols": ("SpanSink",),
         "repro.obs.report": (
             "critical_path", "render_run_report", "straggler_attribution",
         ),

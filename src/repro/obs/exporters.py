@@ -1,6 +1,6 @@
-"""Trace and metric exporters.
+"""Trace exporters.
 
-Three output formats:
+Two output formats:
 
 * **Chrome trace-event JSON** (:func:`chrome_trace` /
   :func:`write_chrome_trace`) — loadable in Perfetto
@@ -8,8 +8,6 @@ Three output formats:
   :class:`~repro.obs.events.TraceEvent` becomes a complete ("X") event;
   token lifecycle chains additionally become flow events
   (``s``/``t``/``f``) so the UI draws arrows from mint to sync.
-* **CSV metric dumps** (:func:`metrics_to_csv`) — one row per metric
-  field, byte-stable across reruns.
 * **Timeline spans** (:func:`timeline_spans`) — the bridge that lets
   :class:`~repro.metrics.timeline.TimelineRecorder` consume the trace
   stream instead of being a second, parallel recording path.
@@ -37,7 +35,6 @@ from repro.obs.events import (
     TS_TRACK,
     TraceEvent,
 )
-from repro.obs.metrics import MetricsRegistry
 
 #: Seconds -> microseconds (the trace-event format's time unit).
 _US = 1e6
@@ -385,27 +382,3 @@ def timeline_spans(
             event.end,
             str(event.args.get("token_type", "")),
         )
-
-
-# -- metrics ------------------------------------------------------------------
-
-
-def metrics_to_csv(registry: MetricsRegistry) -> str:
-    """One CSV row per metric field: ``metric,kind,labels,field,value``."""
-    lines = ["metric,kind,labels,field,value"]
-    for row in registry.samples():
-        label_text = ";".join(
-            f"{key}={value}" for key, value in row.labels
-        )
-        for field in sorted(row.fields):
-            lines.append(
-                f"{row.name},{row.kind},{label_text},{field},"
-                f"{row.fields[field]!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def write_metrics_csv(path: _t.Any, registry: MetricsRegistry) -> None:
-    """Write the registry's CSV dump to ``path``."""
-    with io.open(path, "w", encoding="utf-8") as handle:
-        handle.write(metrics_to_csv(registry))

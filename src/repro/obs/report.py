@@ -1,7 +1,8 @@
 """Plain-text run reports derived from the trace stream.
 
 The report answers the temporal questions the paper's claims hinge on,
-straight from a :class:`~repro.obs.tracer.Tracer`'s events:
+straight from a :class:`~repro.obs.tracer.Tracer`'s events (the
+token-server totals come from ``RunResult.stats``):
 
 * **where did each worker's time go** — compute / fetch / injected
   straggler delay / idle, per worker;
@@ -24,10 +25,8 @@ from repro.obs.events import (
     EV_FETCH,
     EV_MINTED,
     EV_TRAINED,
-    EV_TS_REQUEST,
     TraceEvent,
 )
-from repro.obs.metrics import MetricsRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.metrics.results import RunResult
@@ -143,9 +142,12 @@ def straggler_attribution(
 def render_run_report(
     result: "_HasStats | RunResult",
     events: _t.Sequence[TraceEvent],
-    registry: MetricsRegistry | None = None,
 ) -> str:
-    """Multi-section plain-text report for one traced run."""
+    """Multi-section plain-text report for one traced run.
+
+    Every section reads ``events`` except the token-server one, which
+    reads the counters in ``result.stats``.
+    """
     lines: list[str] = []
     total = result.total_time
     lines.append(
@@ -268,36 +270,18 @@ def render_run_report(
         )
 
     # -- token server -------------------------------------------------------
-    requests = _by_name(events, EV_TS_REQUEST)
     lines.append("")
     lines.append("-- Token server --")
-    if registry is not None:
-        latency = registry.histogram("ts.request_latency")
-        lines.append(
-            f"  {int(registry.counter('ts.requests').value)} requests, "
-            f"{int(registry.counter('ts.conflicts').value)} conflicts"
-        )
-        lines.append(
-            f"  request latency mean {latency.mean * 1e3:.3f} ms, "
-            f"p95 {latency.percentile(0.95) * 1e3:.3f} ms, "
-            f"max {latency.maximum * 1e3:.3f} ms"
-        )
-    elif requests:
-        durations = sorted(event.duration for event in requests)
-        mean = sum(durations) / len(durations)
-        p95 = durations[min(len(durations) - 1, int(0.95 * len(durations)))]
-        conflicts = sum(
-            1 for event in requests if event.args.get("conflict")
-        )
-        lines.append(
-            f"  {len(requests)} requests, {conflicts} conflicts"
-        )
-        lines.append(
-            f"  request latency mean {mean * 1e3:.3f} ms, "
-            f"p95 {p95 * 1e3:.3f} ms, max {durations[-1] * 1e3:.3f} ms"
-        )
-    else:
-        lines.append("(no TS request spans in trace)")
+    stats = result.stats
+    latency = stats["ts_request_latency"]
+    lines.append(
+        f"  {stats['ts_requests']} requests, {stats['ts_conflicts']} conflicts"
+    )
+    lines.append(
+        f"  request latency mean {latency['mean'] * 1e3:.3f} ms, "
+        f"p95 {latency['p95'] * 1e3:.3f} ms, "
+        f"max {latency['max'] * 1e3:.3f} ms"
+    )
 
     # -- synchronization ----------------------------------------------------
     lines.append("")

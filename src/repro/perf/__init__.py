@@ -17,11 +17,7 @@ justifies every hot-path optimization with data.
 """
 
 from repro.perf.hotspots import profile_scenario
-from repro.perf.runner import (
-    ScenarioMeasurement,
-    measure_scenario,
-    run_benchmarks,
-)
+from repro.perf.runner import measure_scenario, run_benchmarks
 from repro.perf.scenarios import (
     Scenario,
     ScenarioStats,
@@ -50,7 +46,6 @@ __all__ = [
     "Comparison",
     "ComparisonRow",
     "Scenario",
-    "ScenarioMeasurement",
     "ScenarioRecord",
     "ScenarioStats",
     "append_run",

@@ -15,7 +15,6 @@ the bug.
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 import time
 import typing as _t
@@ -40,40 +39,6 @@ def _peak_rss_kb() -> float:
     return float(usage) / (1024.0 if usage > 1 << 30 else 1.0)
 
 
-@dataclasses.dataclass(frozen=True)
-class ScenarioMeasurement:
-    """One scenario's measured performance."""
-
-    name: str
-    repeats: int
-    warmup: int
-    wall_seconds: tuple[float, ...]
-    wall_seconds_median: float
-    wall_seconds_iqr: float
-    simulated_seconds: float
-    events: int
-    sim_seconds_per_wall_second: float
-    events_per_second: float
-    peak_rss_kb: float
-
-    def to_record(self) -> ScenarioRecord:
-        return ScenarioRecord(
-            name=self.name,
-            # The store keeps the field so older macro/micro runs load.
-            kind="macro",
-            repeats=self.repeats,
-            warmup=self.warmup,
-            wall_seconds=self.wall_seconds,
-            wall_seconds_median=self.wall_seconds_median,
-            wall_seconds_iqr=self.wall_seconds_iqr,
-            simulated_seconds=self.simulated_seconds,
-            events=self.events,
-            sim_seconds_per_wall_second=self.sim_seconds_per_wall_second,
-            events_per_second=self.events_per_second,
-            peak_rss_kb=self.peak_rss_kb,
-        )
-
-
 def _summarize(walls: _t.Sequence[float]) -> tuple[float, float]:
     """(median, interquartile range) of the timed repetitions."""
     median = statistics.median(walls)
@@ -88,7 +53,7 @@ def measure_scenario(
     runner: ExperimentRunner | None = None,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
-) -> ScenarioMeasurement:
+) -> ScenarioRecord:
     """Measure one scenario; raises on nondeterministic repetitions."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -115,8 +80,10 @@ def measure_scenario(
             )
     assert stats is not None
     median, iqr = _summarize(walls)
-    return ScenarioMeasurement(
+    return ScenarioRecord(
         name=scenario.name,
+        # The store keeps the field so older macro/micro runs load.
+        kind="macro",
         repeats=repeats,
         warmup=warmup,
         wall_seconds=tuple(walls),
@@ -147,7 +114,6 @@ def run_benchmarks(
     runner = ExperimentRunner()
     records = tuple(
         measure_scenario(name, runner, repeats=repeats, warmup=warmup)
-        .to_record()
         for name in names
     )
     return BenchRun(label=label, records=records)

@@ -97,6 +97,7 @@ class TestCommands:
         assert err.startswith("error: cannot open run ledger")
         assert len(err.strip().splitlines()) == 1
 
+    # "trace" is a ``run --trace-out`` run.
     @pytest.mark.parametrize("command", ["run", "trace"])
     @pytest.mark.parametrize("interval", ["0", "-1"])
     def test_non_positive_sample_interval_is_rejected(
@@ -107,10 +108,10 @@ class TestCommands:
             raise AssertionError("simulated despite a bad --sample")
 
         monkeypatch.setattr(ExperimentRunner, "run", no_run)
-        args = [command, "vgg19", "--batch", "128", "--workers", "4",
+        args = ["run", "vgg19", "--batch", "128", "--workers", "4",
                 "--iterations", "2", "--sample", interval]
         if command == "trace":
-            args += ["--out", str(tmp_path / "trace.json")]
+            args += ["--trace-out", str(tmp_path / "trace.json")]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sample interval must be > 0")
@@ -242,7 +243,8 @@ class TestLedgerOnFailure:
 
     FAILING = {
         "run": ["run", "vgg19", "--batch", "3", "--workers", "8"],
-        "trace": ["trace", "vgg19", "--batch", "3", "--workers", "8"],
+        # A ``run --trace-out`` run (the output path is added below).
+        "trace": ["run", "vgg19", "--batch", "3", "--workers", "8"],
         "cluster": ["cluster", "run", "--jobs", "2", "--pool", "0"],
         "tune": ["tune", "nosuchmodel"],
     }
@@ -252,7 +254,7 @@ class TestLedgerOnFailure:
         path = tmp_path / "new.sqlite"
         args = self.FAILING[command] + ["--ledger", str(path)]
         if command == "trace":
-            args += ["--out", str(tmp_path / "trace.json")]
+            args += ["--trace-out", str(tmp_path / "trace.json")]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not path.exists()

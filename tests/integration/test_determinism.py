@@ -3,7 +3,7 @@
 Fela's elastic-tuning comparisons (Fig. 6-10) are meaningful only if a
 seeded experiment reproduces exactly.  This runs the full pipeline —
 two-phase configuration tuning, then a straggler-injected training run
-with a timeline recorder attached — twice from scratch, and asserts the
+with its timeline rebuilt from the trace — twice from scratch, and asserts the
 serialized metrics, tuning table, and timeline are byte-identical.
 """
 
@@ -12,6 +12,7 @@ import json
 from repro.core import FelaRuntime
 from repro.harness import ExperimentRunner, ExperimentSpec
 from repro.metrics.timeline import TimelineRecorder
+from repro.obs import Tracer
 from repro.stragglers import ProbabilityStraggler
 
 SPEC = ExperimentSpec(
@@ -24,12 +25,13 @@ def _serialize_run() -> str:
     runner = ExperimentRunner()  # fresh caches: tuning re-runs too
     tuning = runner.tuning(SPEC)
     config = runner.fela_config(SPEC)
-    recorder = TimelineRecorder()
+    tracer = Tracer()
     result = FelaRuntime(
         config,
         straggler=ProbabilityStraggler(0.3, 2.0, seed=7),
-        recorder=recorder,
+        tracer=tracer,
     ).run()
+    recorder = TimelineRecorder.from_events(tracer.events)
     payload = {
         "tuning": [
             {

@@ -88,11 +88,20 @@ class TestRecorder:
         assert "#" in gantt.splitlines()[1]  # still renders, no IndexError
 
 
+def _timeline(config, **kwargs):
+    """Run ``config`` traced; the timeline of its trace events."""
+    from repro.core import FelaRuntime
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    FelaRuntime(config, tracer=tracer, **kwargs).run()
+    return TimelineRecorder.from_events(tracer.events)
+
+
 class TestRuntimeIntegration:
     def test_fela_records_compute_spans(self, vgg19_partition):
-        from repro.core import FelaConfig, FelaRuntime
+        from repro.core import FelaConfig
 
-        recorder = TimelineRecorder()
         config = FelaConfig(
             partition=vgg19_partition,
             total_batch=128,
@@ -100,7 +109,7 @@ class TestRuntimeIntegration:
             weights=(1, 2, 8),
             iterations=1,
         )
-        FelaRuntime(config, recorder=recorder).run()
+        recorder = _timeline(config)
         # Every token shows up as exactly one compute span.
         compute_spans = recorder.spans(kind="compute")
         assert len(compute_spans) == sum(config.token_counts())
@@ -108,7 +117,7 @@ class TestRuntimeIntegration:
         assert labels == {"T-1", "T-2", "T-3"}
 
     def test_straggler_visible_in_imbalance(self, vgg19_partition):
-        from repro.core import FelaConfig, FelaRuntime
+        from repro.core import FelaConfig
         from repro.stragglers import RoundRobinStraggler
 
         config = FelaConfig(
@@ -118,12 +127,6 @@ class TestRuntimeIntegration:
             weights=(1, 2, 8),
             iterations=1,
         )
-        balanced = TimelineRecorder()
-        FelaRuntime(config, recorder=balanced).run()
-        skewed = TimelineRecorder()
-        FelaRuntime(
-            config,
-            straggler=RoundRobinStraggler(6.0),
-            recorder=skewed,
-        ).run()
+        balanced = _timeline(config)
+        skewed = _timeline(config, straggler=RoundRobinStraggler(6.0))
         assert skewed.load_imbalance() > balanced.load_imbalance()

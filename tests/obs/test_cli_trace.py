@@ -1,6 +1,8 @@
-"""CLI coverage for ``repro trace``, ``--trace-out``, and the validator."""
+"""CLI coverage for ``repro run --trace-out`` and the validator."""
 
 import json
+
+import pytest
 
 from repro.cli import main
 from repro.obs import validate_chrome_trace, verify_causal_chains
@@ -22,12 +24,8 @@ def _small_args(extra):
 class TestTraceCommand:
     def test_writes_valid_trace_and_prints_report(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        csv_path = tmp_path / "metrics.csv"
         code = main(
-            ["trace"]
-            + _small_args(
-                ["--out", str(trace_path), "--metrics-csv", str(csv_path)]
-            )
+            ["run"] + _small_args(["--trace-out", str(trace_path)])
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -36,9 +34,6 @@ class TestTraceCommand:
         payload = json.loads(trace_path.read_text())
         assert validate_chrome_trace(payload) == []
         assert verify_causal_chains(payload) == []
-        assert csv_path.read_text().startswith(
-            "metric,kind,labels,field,value"
-        )
 
     def test_run_with_trace_out(self, tmp_path, capsys):
         trace_path = tmp_path / "run-trace.json"
@@ -46,9 +41,19 @@ class TestTraceCommand:
             ["run"] + _small_args(["--trace-out", str(trace_path)])
         )
         assert code == 0
-        assert "wrote" in capsys.readouterr().out
-        payload = json.loads(trace_path.read_text())
-        assert validate_chrome_trace(payload) == []
+        out = capsys.readouterr().out
+        # The metric table, then the trace line, then the report.
+        table = out.index("AT (samples/s)")
+        wrote = out.index(f"trace events to {trace_path}")
+        report = out.index("== Run report: fela on vgg19")
+        assert table < wrote < report
+        assert "-- Token server --" in out[report:]
+
+    def test_trace_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace"] + _small_args([]))
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
 
     def test_run_trace_out_rejected_for_baselines(self, tmp_path, capsys):
         code = main(
@@ -64,7 +69,9 @@ class TestTraceCommand:
 class TestValidatorCli:
     def test_accepts_fresh_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        assert main(["trace"] + _small_args(["--out", str(trace_path)])) == 0
+        assert main(
+            ["run"] + _small_args(["--trace-out", str(trace_path)])
+        ) == 0
         capsys.readouterr()
         assert validate_main(["--chains", str(trace_path)]) == 0
         assert "OK" in capsys.readouterr().out

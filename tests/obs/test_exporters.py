@@ -6,11 +6,9 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     CAT_NETWORK,
     CAT_SYNC,
-    MetricsRegistry,
     Tracer,
     chrome_trace,
     complete_events,
-    metrics_to_csv,
     read_chrome_trace,
     timeline_spans,
     validate_chrome_trace,
@@ -160,18 +158,6 @@ class TestTimelineSpans:
         assert (2, "fetch", 3.0, 3.5, "T-1") in spans
         kinds = {span[1] for span in spans}
         assert kinds == {"compute", "fetch"}
-
-
-class TestMetricsCsv:
-    def test_header_and_rows(self):
-        registry = MetricsRegistry()
-        registry.counter("ts.requests").inc(4)
-        registry.gauge("net.bytes").set(123.0)
-        text = metrics_to_csv(registry)
-        lines = text.strip().splitlines()
-        assert lines[0] == "metric,kind,labels,field,value"
-        assert "net.bytes,gauge,,value,123.0" in lines
-        assert "ts.requests,counter,,value,4" in lines
 
 
 class TestCounterSamples:

@@ -4,7 +4,6 @@ from repro.core import FelaConfig, FelaRuntime
 from repro.hardware import Cluster, ClusterSpec
 from repro.obs import (
     EV_TRAINED,
-    MetricsRegistry,
     Tracer,
     critical_path,
     render_run_report,
@@ -23,20 +22,18 @@ def _traced(partition, straggler=None):
         iterations=2,
     )
     tracer = Tracer()
-    metrics = MetricsRegistry()
     result = FelaRuntime(
         config,
         Cluster(ClusterSpec(num_nodes=4)),
         straggler=straggler,
         tracer=tracer,
-        metrics=metrics,
     ).run()
-    return result, tracer, metrics
+    return result, tracer
 
 
 class TestCriticalPath:
     def test_walks_dependency_chain_to_the_last_sync(self, vgg19_partition):
-        _, tracer, _ = _traced(vgg19_partition)
+        _, tracer = _traced(vgg19_partition)
         path = critical_path(tracer.events)
         assert path, "expected a non-empty critical path"
         # Every hop is a training span and levels never decrease.
@@ -53,7 +50,7 @@ class TestCriticalPath:
 
 class TestStragglerAttribution:
     def test_delayed_workers_are_attributed(self, vgg19_partition):
-        _, tracer, _ = _traced(
+        _, tracer = _traced(
             vgg19_partition, straggler=RoundRobinStraggler(2.0)
         )
         attribution = straggler_attribution(tracer.events)
@@ -63,16 +60,16 @@ class TestStragglerAttribution:
             assert 0.0 <= row["absorbed"] <= row["delay"] + 1e-9
 
     def test_no_stragglers_no_rows(self, vgg19_partition):
-        _, tracer, _ = _traced(vgg19_partition)
+        _, tracer = _traced(vgg19_partition)
         assert straggler_attribution(tracer.events) == {}
 
 
 class TestRenderRunReport:
     def test_contains_all_sections(self, vgg19_partition):
-        result, tracer, metrics = _traced(
+        result, tracer = _traced(
             vgg19_partition, straggler=RoundRobinStraggler(2.0)
         )
-        report = render_run_report(result, tracer.events, metrics)
+        report = render_run_report(result, tracer.events)
         for heading in (
             "Run report",
             "Worker activity",
@@ -85,12 +82,24 @@ class TestRenderRunReport:
         assert result.model_name in report
 
     def test_renders_without_registry(self, vgg19_partition):
-        result, tracer, _ = _traced(vgg19_partition)
+        """The token-server lines read ``result.stats``."""
+        result, tracer = _traced(vgg19_partition)
         report = render_run_report(result, tracer.events)
-        assert "Token server" in report
+        stats = result.stats
+        assert stats["ts_requests"] > 0
+        assert (
+            f"-- Token server --\n  {stats['ts_requests']} requests, "
+            f"{stats['ts_conflicts']} conflicts\n"
+        ) in report
+        latency = stats["ts_request_latency"]
+        assert (
+            f"  request latency mean {latency['mean'] * 1e3:.3f} ms, "
+            f"p95 {latency['p95'] * 1e3:.3f} ms, "
+            f"max {latency['max'] * 1e3:.3f} ms"
+        ) in report
 
     def test_no_faults_attached_no_faults_section(self, vgg19_partition):
-        result, tracer, _ = _traced(vgg19_partition)
+        result, tracer = _traced(vgg19_partition)
         assert "Faults and degradation" not in render_run_report(
             result, tracer.events
         )

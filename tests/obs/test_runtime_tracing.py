@@ -14,9 +14,10 @@ from repro.metrics.timeline import TimelineRecorder
 from repro.obs import (
     EV_ALLREDUCE,
     EV_DELAY,
+    EV_FETCH,
+    EV_TRAINED,
     EV_TRANSFER,
     EV_TS_REQUEST,
-    MetricsRegistry,
     TOKEN_LIFECYCLE,
     Tracer,
     chrome_trace,
@@ -51,7 +52,6 @@ class TestZeroPerturbation:
             runtime.config,
             Cluster(ClusterSpec(num_nodes=4)),
             tracer=tracer,
-            metrics=MetricsRegistry(),
         )
         traced = traced_runtime.run()
         assert traced.total_time == untraced.total_time
@@ -100,7 +100,6 @@ class TestTraceContents:
             runtime.config,
             Cluster(ClusterSpec(num_nodes=4)),
             tracer=tracer,
-            metrics=MetricsRegistry(),
         )
         result = runtime.run()
         return runtime, result, tracer
@@ -125,7 +124,7 @@ class TestTraceContents:
             assert 0.0 <= event.start <= result.total_time
             assert event.end <= result.total_time + 1e-9
 
-    def test_metrics_registry_backs_legacy_stats(self, traced):
+    def test_stats_read_the_server_counters(self, traced):
         runtime, result, _ = traced
         stats = result.stats
         assert stats["ts_requests"] == runtime.server.requests
@@ -140,33 +139,30 @@ class TestTraceContents:
 
 
 class TestRecorderBridge:
-    def test_recorder_is_fed_from_the_trace_stream(self, vgg19_partition):
-        recorder = TimelineRecorder()
-        runtime = _make_runtime(vgg19_partition)
-        FelaRuntime(
-            runtime.config,
-            Cluster(ClusterSpec(num_nodes=4)),
-            recorder=recorder,
-        ).run()
-        assert recorder.spans(kind="compute")
-        # A recorder alone implicitly enables tracing.
-        assert recorder.end_time() > 0
-
-    def test_recorder_spans_match_direct_trace(self, vgg19_partition):
-        recorder = TimelineRecorder()
-        runtime = _make_runtime(vgg19_partition)
-        FelaRuntime(
-            runtime.config,
-            Cluster(ClusterSpec(num_nodes=4)),
-            recorder=recorder,
-        ).run()
-
+    @staticmethod
+    def _traced_timeline(partition):
         tracer = Tracer()
-        runtime2 = _make_runtime(vgg19_partition)
+        runtime = _make_runtime(partition)
         FelaRuntime(
-            runtime2.config,
+            runtime.config,
             Cluster(ClusterSpec(num_nodes=4)),
             tracer=tracer,
         ).run()
-        rebuilt = TimelineRecorder.from_trace(tracer.events)
-        assert recorder.spans() == rebuilt.spans()
+        return tracer, TimelineRecorder.from_events(tracer.events)
+
+    def test_recorder_is_fed_from_the_trace_stream(self, vgg19_partition):
+        _, recorder = self._traced_timeline(vgg19_partition)
+        assert recorder.spans(kind="compute")
+        assert recorder.end_time() > 0
+
+    def test_recorder_spans_match_direct_trace(self, vgg19_partition):
+        tracer, recorder = self._traced_timeline(vgg19_partition)
+        for kind, name in (("compute", EV_TRAINED), ("fetch", EV_FETCH)):
+            assert [
+                (span.worker, span.start, span.end)
+                for span in recorder.spans(kind=kind)
+            ] == [
+                (event.track, event.start, event.end)
+                for event in tracer.events
+                if event.name == name
+            ]

@@ -1,17 +1,12 @@
 """Seeded determinism: traced reruns are byte-identical.
 
-Traces and metric dumps are comparison artifacts; they are only usable
-as such if a seeded experiment reproduces them byte for byte.
+Traces and run statistics are comparison artifacts; they are only
+usable as such if a seeded experiment reproduces them byte for byte.
 """
 
 from repro.core import FelaConfig, FelaRuntime
 from repro.hardware import Cluster, ClusterSpec
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    dump_chrome_trace,
-    metrics_to_csv,
-)
+from repro.obs import Tracer, dump_chrome_trace
 from repro.stragglers import ProbabilityStraggler
 
 
@@ -25,22 +20,20 @@ def _dumps(partition) -> tuple[str, str]:
         iterations=2,
     )
     tracer = Tracer()
-    metrics = MetricsRegistry()
-    FelaRuntime(
+    result = FelaRuntime(
         config,
         Cluster(ClusterSpec(num_nodes=4)),
         straggler=ProbabilityStraggler(0.4, 1.5, seed=11),
         tracer=tracer,
-        metrics=metrics,
     ).run()
-    return dump_chrome_trace(tracer.events), metrics_to_csv(metrics)
+    return dump_chrome_trace(tracer.events), repr(result.stats)
 
 
 def test_trace_and_metrics_are_byte_identical_across_reruns(
     vgg19_partition,
 ):
-    trace_a, csv_a = _dumps(vgg19_partition)
-    trace_b, csv_b = _dumps(vgg19_partition)
+    trace_a, stats_a = _dumps(vgg19_partition)
+    trace_b, stats_b = _dumps(vgg19_partition)
     assert trace_a == trace_b
-    assert csv_a == csv_b
+    assert stats_a == stats_b
     assert len(trace_a) > 1000  # non-trivial payload

@@ -31,8 +31,8 @@ PUBLIC_NAMES = {
         AnalysisError BenchmarkError CapacityError Cluster ClusterSpec
         ConfigurationError ConfigurationTuner DataParallel ExperimentRunner
         ExperimentSpec FelaConfig FelaRuntime GpuSpec HybridParallel
-        InvariantChecker InvariantViolation MetricsRegistry ModelGraph
-        ModelParallel NoStraggler NullTracer ObservabilityError Partition
+        InvariantChecker InvariantViolation ModelGraph ModelParallel
+        NoStraggler NullTracer ObservabilityError Partition
         PartitionError PipelinedFelaRuntime ProbabilityStraggler ReproError
         RoundRobinStraggler RunResult SchedulingError SimulationError SubModel
         SyncMode ThroughputProfiler TraceEvent Tracer TransientStraggler
@@ -72,17 +72,16 @@ PUBLIC_NAMES = {
     """,
     "repro.obs": """
         CAT_FAULT CAT_NETWORK CAT_STRAGGLER CAT_SYNC CAT_TOKEN CAT_TS CAT_WORKER
-        Counter EV_ALLREDUCE EV_ASSIGNED EV_BUFFERED EV_DELAY EV_FETCH
+        EV_ALLREDUCE EV_ASSIGNED EV_BUFFERED EV_DELAY EV_FETCH
         EV_ITERATION_END EV_LEVEL_SYNCED EV_MINTED EV_REPORTED EV_SYNC_START
         EV_TOKEN_INVALIDATED EV_TOKEN_RECLAIMED EV_TOKEN_REMINTED EV_TRAINED
         EV_TRANSFER EV_TS_REQUEST EV_WORKER_FAILED EV_WORKER_JOINED
-        EV_WORKER_LEFT Gauge Histogram MetricsRegistry NULL_SAMPLER NULL_TRACER
-        NullSampler NullTracer PHASE_CODES PHASE_NAMES SERIES Sample Sampler
-        SpanSink TOKEN_LIFECYCLE TS_TRACK TraceEvent Tracer chrome_trace
-        complete_events critical_path dump_chrome_trace metrics_to_csv
-        read_chrome_trace render_run_report series_keys series_points
-        straggler_attribution timeline_spans validate_chrome_trace
-        verify_causal_chains write_chrome_trace write_metrics_csv
+        EV_WORKER_LEFT NULL_SAMPLER NULL_TRACER NullSampler NullTracer
+        PHASE_CODES PHASE_NAMES SERIES Sample Sampler TOKEN_LIFECYCLE TS_TRACK
+        TraceEvent Tracer chrome_trace complete_events critical_path
+        dump_chrome_trace read_chrome_trace render_run_report series_keys
+        series_points straggler_attribution timeline_spans
+        validate_chrome_trace verify_causal_chains write_chrome_trace
     """,
 }
 
