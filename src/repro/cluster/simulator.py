@@ -238,6 +238,10 @@ class ClusterSimulator:
             raise ConfigurationError(
                 f"node headroom must be >= 0: {node_headroom}"
             )
+        if not lease_timeout > 0:  # also rejects NaN
+            raise ConfigurationError(
+                f"lease timeout must be > 0: {lease_timeout}"
+            )
         self.crash_probability = crash_probability
         self.crash_seed = crash_seed
         self.node_headroom = node_headroom

@@ -3,7 +3,6 @@
 from repro.core.bucket import TokenBucket
 from repro.core.collectives import (
     broadcast,
-    gather,
     hierarchical_allreduce,
     parameter_server_sync,
     ring_allreduce,
@@ -33,7 +32,6 @@ __all__ = [
     "TokenServer",
     "Worker",
     "broadcast",
-    "gather",
     "hierarchical_allreduce",
     "parameter_server_sync",
     "ring_allreduce",

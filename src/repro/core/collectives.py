@@ -199,20 +199,3 @@ def broadcast(
     )
     yield env.all_of((batch,))
     return len(targets) * size_bytes
-
-
-def gather(
-    cluster: Cluster,
-    sources: _t.Sequence[int],
-    destination: int,
-    size_bytes_per_source: float,
-):
-    """Each source sends its payload to ``destination`` in parallel."""
-    env = cluster.env
-    senders = [s for s in sources if s != destination]
-    if not senders or size_bytes_per_source <= 0:
-        return
-    batch = cluster.fabric.transfer_many(
-        (s, destination, size_bytes_per_source) for s in senders
-    )
-    yield env.all_of((batch,))

@@ -101,7 +101,7 @@ class FaultController:
         injector: FaultInjector,
         lease_timeout: float = 0.25,
     ) -> None:
-        if lease_timeout <= 0:
+        if not lease_timeout > 0:  # also rejects NaN
             raise ConfigurationError(
                 f"lease timeout must be > 0: {lease_timeout}"
             )

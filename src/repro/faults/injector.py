@@ -43,7 +43,7 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown fault kind: {self.kind!r}")
-        if self.time < 0:
+        if not self.time >= 0:  # also rejects NaN
             raise ConfigurationError(f"fault time must be >= 0: {self.time}")
         if self.kind == KIND_JOIN:
             if self.wid is not None:
@@ -113,7 +113,7 @@ class ProbabilisticCrashes(FaultInjector):
             raise ConfigurationError(
                 f"crash probability must be in [0, 1]: {probability}"
             )
-        if window <= 0:
+        if not window > 0:
             raise ConfigurationError(f"crash window must be > 0: {window}")
         self.probability = probability
         self.window = window

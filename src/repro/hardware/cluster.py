@@ -42,14 +42,17 @@ class ClusterSpec:
     gpu_speed_factors: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        # Guards read ``not x > 0`` so that NaN fails them too.
         if self.num_nodes < 1:
             raise ConfigurationError(
                 f"cluster needs at least one node: {self.num_nodes}"
             )
-        if self.link_bandwidth <= 0:
+        if not self.link_bandwidth > 0:
             raise ConfigurationError(
                 f"link bandwidth must be > 0: {self.link_bandwidth}"
             )
+        if not self.latency >= 0:
+            raise ConfigurationError(f"latency must be >= 0: {self.latency}")
         if not 0 < self.network_efficiency <= 1:
             raise ConfigurationError(
                 f"network efficiency must be in (0, 1]: "
@@ -61,7 +64,7 @@ class ClusterSpec:
                     f"{len(self.gpu_speed_factors)} speed factors for "
                     f"{self.num_nodes} nodes"
                 )
-            if any(factor <= 0 for factor in self.gpu_speed_factors):
+            if not all(factor > 0 for factor in self.gpu_speed_factors):
                 raise ConfigurationError(
                     f"speed factors must be > 0: {self.gpu_speed_factors}"
                 )
@@ -110,7 +113,7 @@ class Node:
         This mirrors the paper's methodology ("add sleeping delays to
         workers, so as to prolong their computation time").
         """
-        if seconds < 0:
+        if not seconds >= 0:
             raise ConfigurationError(f"delay must be >= 0: {seconds}")
         self._pending_delay += seconds
 
@@ -125,7 +128,7 @@ class Node:
         """Process generator: occupy the GPU for ``seconds`` (+ any injected
         straggler delay).  Yields until the computation finishes.
         """
-        if seconds < 0:
+        if not seconds >= 0:
             raise ConfigurationError(f"compute time must be >= 0: {seconds}")
         with self._gpu.request() as req:
             yield req

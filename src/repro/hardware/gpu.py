@@ -93,14 +93,15 @@ class GpuSpec:
     ]
 
     def __post_init__(self) -> None:
-        if self.peak_flops <= 0 or self.memory_bytes <= 0:
+        # Written as ``not x > 0`` / ``not x >= 0`` so NaN is rejected too.
+        if not (self.peak_flops > 0 and self.memory_bytes > 0):
             raise ConfigurationError(
                 f"GPU {self.name!r}: peak_flops and memory_bytes must be > 0"
             )
-        if (
-            self.saturation_flops < 0
-            or self.saturation_elements < 0
-            or self.kernel_overhead < 0
+        if not (
+            self.saturation_flops >= 0
+            and self.saturation_elements >= 0
+            and self.kernel_overhead >= 0
         ):
             raise ConfigurationError(
                 f"GPU {self.name!r}: saturation/overhead must be >= 0"

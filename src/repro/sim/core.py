@@ -1,11 +1,9 @@
 """The discrete-event simulation environment (event loop).
 
-The environment orders events by ``(time, priority, sequence)``.  Ties at
-equal time and priority are broken by insertion order, which makes every
-simulation in this package fully deterministic.  Storage is a
-:class:`~repro.sim.calendar.CalendarQueue`: delay-zero events ride O(1)
-FIFO lanes, positive delays go through a binary heap — the pop order is
-identical to the single global heap this environment used to keep.
+The environment keeps one binary heap of ``(time, priority, sequence,
+event)`` entries and pops them in that tuple order.  Ties at equal time and
+priority are broken by insertion order, which makes every simulation in
+this package fully deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (
     NORMAL,
     PENDING,
@@ -50,13 +47,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
-        self._queue: CalendarQueue = CalendarQueue()
-        #: Aliases to the calendar queue's three structures.  The queue
-        #: never replaces them, so hot paths (Timeout, succeed, resume)
-        #: save one attribute hop per insert by going through these.
-        self._urgent = self._queue.urgent
-        self._normal = self._queue.normal
-        self._future = self._queue.future
+        #: The event heap.  Hot paths (Timeout, succeed, resume) push
+        #: their entries onto it directly instead of calling schedule().
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._eid: int = 0
         self._active_proc: Process | None = None
         # Per-instance C-level constructors shadowing the factory
@@ -138,19 +131,21 @@ class Environment:
     def schedule(
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
     ) -> None:
-        """Queue ``event`` to be processed after ``delay`` time units."""
+        """Queue ``event`` to be processed after ``delay`` time units.
+
+        A negative or NaN ``delay`` raises :class:`SimulationError`: a NaN
+        time compares false against every other, so it would break the
+        heap order and let the clock run backwards.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"invalid schedule delay: {delay!r}")
         eid = self._eid
         self._eid = eid + 1
-        if delay == 0.0:
-            self._queue.push((self._now, priority, eid, event), True)
-        else:
-            heappush(
-                self._queue.future, (self._now + delay, priority, eid, event)
-            )
+        heappush(self._queue, (self._now + delay, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._queue.peek_time()
+        return self._queue[0][0] if self._queue else Infinity
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -158,7 +153,7 @@ class Environment:
         Raises :class:`EmptySchedule` when no events remain.
         """
         try:
-            self._now, _, _, event = self._queue.pop()
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
 
@@ -196,7 +191,7 @@ class Environment:
                 stop_event.callbacks.append(StopSimulation.callback)
             else:
                 at = float(until)
-                if at <= self._now:
+                if not at > self._now:  # also rejects NaN
                     raise SimulationError(
                         f"until ({at}) must be greater than the current "
                         f"simulation time ({self._now})"
@@ -212,41 +207,12 @@ class Environment:
         # cycle avoids one method call, one try/except, and repeated
         # attribute loads per event.  Semantics — pop order, monitor
         # hooks, callback handling, failed-event re-raise — are identical
-        # to :meth:`step`.  The three-way head compare below is
-        # ``CalendarQueue.pop`` unrolled: each lane is internally sorted,
-        # so the smallest of the three heads is the global minimum, and
-        # when both lanes are empty the only cost over a bare heap is two
-        # truthiness checks.
+        # to :meth:`step`.
         queue = self._queue
-        urgent = queue.urgent
-        normal = queue.normal
-        future = queue.future
-        pop_urgent = urgent.popleft
-        pop_normal = normal.popleft
         monitors = self._monitors
         try:
-            while True:
-                if urgent:
-                    entry = urgent[0]
-                    if normal and normal[0] < entry:
-                        if future and future[0] < normal[0]:
-                            entry = heappop(future)
-                        else:
-                            entry = pop_normal()
-                    elif future and future[0] < entry:
-                        entry = heappop(future)
-                    else:
-                        entry = pop_urgent()
-                elif normal:
-                    if future and future[0] < normal[0]:
-                        entry = heappop(future)
-                    else:
-                        entry = pop_normal()
-                elif future:
-                    entry = heappop(future)
-                else:
-                    break
-                self._now, _, _, event = entry
+            while queue:
+                self._now, _, _, event = heappop(queue)
 
                 if monitors:
                     now = self._now

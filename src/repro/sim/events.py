@@ -99,11 +99,9 @@ class Event:
 
     # -- triggering -------------------------------------------------------
 
-    # Triggering appends straight to the calendar queue's delay-zero
-    # NORMAL lane instead of going through ``env.schedule``: identical
-    # entries, identical order (the clock never runs backwards and the
-    # sequence number strictly increases, so lane appends stay monotone),
-    # one less function call on the hottest mutation in the kernel.
+    # Triggering pushes straight onto the environment's event heap
+    # instead of going through ``env.schedule``: the identical entry, one
+    # less function call on the hottest mutation in the kernel.
 
     def succeed(self, value: _t.Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
@@ -114,7 +112,7 @@ class Event:
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        env._normal.append((env._now, NORMAL, eid, self))
+        _heappush(env._queue, (env._now, NORMAL, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -130,7 +128,7 @@ class Event:
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        env._normal.append((env._now, NORMAL, eid, self))
+        _heappush(env._queue, (env._now, NORMAL, eid, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -145,7 +143,7 @@ class Event:
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        env._normal.append((env._now, NORMAL, eid, self))
+        _heappush(env._queue, (env._now, NORMAL, eid, self))
 
     # -- composition ------------------------------------------------------
 
@@ -164,14 +162,13 @@ class Timeout(Event):
     # Timeouts are minted once per simulated wait — the single hottest
     # allocation in the kernel — so ``__init__`` flattens the
     # ``Event.__init__`` + ``env.schedule`` call chain into direct slot
-    # assignments and a direct queue insert (same entry tuple, same
-    # order; see ``Event.succeed`` for the monotonicity argument).
+    # assignments and a direct heap push (same entry tuple).
 
     def __init__(
         self, env: "Environment", delay: float, value: _t.Any = None
     ) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
+            raise SimulationError(f"invalid timeout delay: {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -180,10 +177,7 @@ class Timeout(Event):
         self._delay = delay
         eid = env._eid
         env._eid = eid + 1
-        if delay == 0.0:
-            env._normal.append((env._now, NORMAL, eid, self))
-        else:
-            _heappush(env._future, (env._now + delay, NORMAL, eid, self))
+        _heappush(env._queue, (env._now + delay, NORMAL, eid, self))
 
     @property
     def delay(self) -> float:
@@ -206,7 +200,7 @@ class Initialize(Event):
         self._defused = False
         eid = env._eid
         env._eid = eid + 1
-        env._urgent.append((env._now, URGENT, eid, self))
+        _heappush(env._queue, (env._now, URGENT, eid, self))
 
 
 class Interruption(Event):
@@ -230,7 +224,7 @@ class Interruption(Event):
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        env._urgent.append((env._now, URGENT, eid, self))
+        _heappush(env._queue, (env._now, URGENT, eid, self))
 
     def _interrupt(self, event: "Event") -> None:
         if self.process.triggered:

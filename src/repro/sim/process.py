@@ -9,6 +9,7 @@ returns (the return value becomes the process's event value) or raises.
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.sim.events import (
@@ -85,8 +86,8 @@ class Process(Event):
 
         This is the hottest frame in every simulation (it runs once per
         process wake-up), so the generator, environment, and resume
-        callback are cached in locals, and process termination appends
-        straight to the calendar queue's URGENT lane — the same entry
+        callback are cached in locals, and process termination pushes
+        straight onto the event heap — the same entry
         ``env.schedule(self, priority=URGENT)`` would push, minus the
         call overhead.
         """
@@ -109,7 +110,7 @@ class Process(Event):
                 self._value = stop.value
                 eid = env._eid
                 env._eid = eid + 1
-                env._queue.urgent.append((env._now, URGENT, eid, self))
+                heappush(env._queue, (env._now, URGENT, eid, self))
                 break
             except BaseException as exc:
                 self._ok = False
@@ -119,7 +120,7 @@ class Process(Event):
                     exc.__repro_process__ = self.name  # type: ignore[attr-defined]
                 eid = env._eid
                 env._eid = eid + 1
-                env._queue.urgent.append((env._now, URGENT, eid, self))
+                heappush(env._queue, (env._now, URGENT, eid, self))
                 break
 
             # ``__class__ is Event/Timeout`` catches the overwhelmingly

@@ -51,7 +51,7 @@ class RoundRobinStraggler(StragglerInjector):
     """Worker ``k mod N`` is slowed by ``d`` seconds in iteration ``k``."""
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ConfigurationError(f"delay must be >= 0: {delay}")
         self.delay = float(delay)
 
@@ -69,7 +69,7 @@ class ProbabilityStraggler(StragglerInjector):
             raise ConfigurationError(
                 f"probability must be in [0, 1]: {probability}"
             )
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ConfigurationError(f"delay must be >= 0: {delay}")
         self.probability = float(probability)
         self.delay = float(delay)
@@ -102,7 +102,7 @@ class TransientStraggler(StragglerInjector):
         persistence: int = 1,
         seed: int = 0,
     ) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ConfigurationError(f"delay must be >= 0: {delay}")
         if hits < 0:
             raise ConfigurationError(f"hits must be >= 0: {hits}")

@@ -157,6 +157,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ClusterSimulator(trace, "fifo", 1)
 
+    @pytest.mark.parametrize("lease", [float("nan"), 0.0, -1.0])
+    def test_bad_lease_timeout_rejected(self, lease):
+        with pytest.raises(ConfigurationError, match="lease"):
+            ClusterSimulator(TRACE, "fifo", 6, lease_timeout=lease)
+
     def test_bad_crash_probability_rejected(self):
         with pytest.raises(ConfigurationError):
             ClusterSimulator(TRACE, "fifo", 4, crash_probability=1.0)

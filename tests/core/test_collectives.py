@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import broadcast, gather, parameter_server_sync, ring_allreduce
+from repro.core import broadcast, parameter_server_sync, ring_allreduce
 from repro.errors import ConfigurationError
 from repro.hardware import Cluster
 
@@ -93,15 +93,6 @@ class TestBroadcastGather:
         size = 1e9
         elapsed = run_collective(
             cluster, broadcast(cluster, 0, [1, 2, 3], size)
-        )
-        expected = 3 * size / small_cluster_spec.link_bandwidth
-        assert elapsed == pytest.approx(expected, rel=1e-6)
-
-    def test_gather_shares_destination_rx(self, small_cluster_spec):
-        cluster = Cluster(small_cluster_spec)
-        size = 1e9
-        elapsed = run_collective(
-            cluster, gather(cluster, [0, 1, 2], 3, size)
         )
         expected = 3 * size / small_cluster_spec.link_bandwidth
         assert elapsed == pytest.approx(expected, rel=1e-6)

@@ -8,12 +8,31 @@ from repro.faults import (
     KIND_JOIN,
     KIND_LEAVE,
     CompositeFaultInjector,
+    FaultController,
     FaultEvent,
     FaultScript,
     NoFaults,
     ProbabilisticCrashes,
     parse_faults,
 )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FaultEvent(float("nan"), KIND_CRASH, wid=2),
+        lambda: parse_faults("crash:2@nan"),
+        lambda: parse_faults("join@nan"),
+        lambda: ProbabilisticCrashes(0.5, window=float("nan")),
+        lambda: FaultController(NoFaults(), lease_timeout=float("nan")),
+    ],
+    ids=["event-time", "crash-clause", "join-clause", "window", "lease"],
+)
+def test_nan_times_rejected(build):
+    """NaN slips past ``x < 0`` / ``x <= 0`` guards: a crash scripted at
+    NaN would fire anyway, and a NaN lease would stall detection."""
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 class TestFaultEvent:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware import Cluster, ClusterSpec
+from repro.hardware import Cluster, ClusterSpec, GpuSpec
 
 
 class TestClusterSpec:
@@ -26,6 +26,27 @@ class TestClusterSpec:
             ClusterSpec(network_efficiency=0)
         with pytest.raises(ConfigurationError):
             ClusterSpec(network_efficiency=1.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ClusterSpec(latency=float("nan")),
+            lambda: ClusterSpec(latency=-1e-6),
+            lambda: ClusterSpec(link_bandwidth=float("nan")),
+            lambda: ClusterSpec(
+                num_nodes=2, gpu_speed_factors=(1.0, float("nan"))
+            ),
+            lambda: GpuSpec(peak_flops=float("nan")),
+            lambda: GpuSpec(kernel_overhead=float("nan")),
+        ],
+        ids=["latency", "negative-latency", "bandwidth", "speed-factor",
+             "peak-flops", "overhead"],
+    )
+    def test_nan_and_negative_fields_rejected(self, build):
+        """Each of these used to be accepted and then stalled the fabric
+        (or skewed every compute time) mid-run."""
+        with pytest.raises(ConfigurationError):
+            build()
 
 
 class TestNode:

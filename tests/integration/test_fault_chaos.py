@@ -14,11 +14,17 @@ straggler, the BSP runtime or the pipelined one under SSP (staleness
 the run loop's unusual events (failed, defused and interrupted), so
 every run has ``InvariantChecker`` on, must terminate with every
 iteration done, and must rerun to the same ``repr(total_time)``.
+
+The drawn worker counts stay at 13 or fewer, where the fabric never
+re-solves a restricted subset of its flows;
+``test_faulted_scale_run_takes_the_restricted_path`` covers 32 to 96
+workers on that path.
 """
 
 import dataclasses
 import functools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -234,3 +240,43 @@ def test_fault_script_terminates_and_reruns_bit_identically(
     assert first.iterations == _ITERATIONS
     second = _run(*args)
     assert repr(second.total_time) == repr(first.total_time)
+
+
+#: Two crashes, a leave and a join, all inside the shortest (N = 32,
+#: about 10.9 s) of the unfaulted runs below.
+_SCALE_SCRIPT = "crash:5@3.0,crash:29@9.0,leave:7@6.0,join@4.5"
+
+
+def _scale_run(workers):
+    config = FelaConfig(
+        partition=zoo_partition("vgg19"),
+        total_batch=4 * workers,
+        num_workers=workers,
+        weights=(1, 2, 2),
+        conditional_subset_size=2,
+        iterations=2,
+        collective="hierarchical",
+    )
+    cluster = Cluster(ClusterSpec(num_nodes=workers + 2))
+    result = FelaRuntime(
+        config,
+        cluster,
+        invariants=InvariantChecker(),
+        faults=FaultController(parse_faults(_SCALE_SCRIPT)),
+    ).run()
+    return result, cluster.fabric.stats.solves_restricted
+
+
+@pytest.mark.parametrize("workers", [32, 64, 96])
+def test_faulted_scale_run_takes_the_restricted_path(workers):
+    """Crash, leave and join handling on the fabric's restricted solves
+    (and the ``LATE`` end-of-instant flush that triggers them)."""
+    first, restricted = _scale_run(workers)
+    assert restricted > 0
+    assert first.iterations == 2
+    faults = first.stats["faults"]
+    assert [f["wid"] for f in faults["failures"]] == [5, 29]
+    assert faults["left"] == [7] and faults["joined"] == [workers]
+    second, _ = _scale_run(workers)
+    assert repr(second.total_time) == repr(first.total_time)
+    assert repr(second.stats) == repr(first.stats)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment
+from repro.sim import LATE, Environment, Event
 from repro.sim.core import EmptySchedule
+from repro.sim.events import NORMAL, URGENT
 
 
 class TestRun:
@@ -122,3 +123,133 @@ class TestDeterminism:
             return log
 
         assert simulate() == simulate()
+
+
+def _marker(env, order):
+    """``mark(name, priority, delay)`` schedules an event that logs
+    ``(name, env.now)`` when it is processed."""
+
+    def mark(name, priority=NORMAL, delay=0.0):
+        event = Event(env)
+        event._value = None
+        event.callbacks = [lambda _: order.append((name, env.now))]
+        env.schedule(event, priority=priority, delay=delay)
+        return event
+
+    return mark
+
+
+class TestOrdering:
+    """The heap pops in ``(time, priority, sequence)`` order."""
+
+    def test_urgent_before_normal_at_equal_time(self):
+        env = Environment()
+        order: list[tuple[str, float]] = []
+        mark = _marker(env, order)
+        mark("normal-first")
+        mark("urgent-later", URGENT)
+        mark("normal-later")
+        mark("future-urgent", URGENT, delay=1.0)
+        mark("future-normal", NORMAL, delay=1.0)
+        env.run()
+        assert [name for name, _ in order] == [
+            "urgent-later", "normal-first", "normal-later",
+            "future-urgent", "future-normal",
+        ]
+
+    @pytest.mark.parametrize("delay", [0.0, 1.5])
+    def test_fifo_at_equal_time_and_priority(self, delay):
+        env = Environment()
+        order: list[tuple[str, float]] = []
+        mark = _marker(env, order)
+        names = [f"e{i}" for i in range(50)]
+        for name in names:
+            mark(name, delay=delay)
+        env.run()
+        assert order == [(name, delay) for name in names]
+
+    def test_late_event_pops_after_its_instant_and_before_the_next(self):
+        """``env.schedule(event, priority=LATE)`` runs after every event at
+        its instant — URGENT or NORMAL, scheduled before or after it, and
+        the cascades those trigger — and before any later instant."""
+        env = Environment()
+        order: list[tuple[str, float]] = []
+        mark = _marker(env, order)
+
+        def at_one():
+            yield env.timeout(1.0)
+            mark("normal-before")
+            mark("urgent-before", URGENT)
+            late = mark("late", LATE)
+            late.callbacks.append(lambda _: mark("normal-from-late"))
+            cascade = mark("normal-after")
+            cascade.callbacks.append(
+                lambda _: mark("urgent-from-cascade", URGENT)
+            )
+            mark("urgent-after", URGENT)
+
+        mark("next-instant", NORMAL, delay=1.0 + 1e-9)
+        env.process(at_one())
+        env.run()
+        assert order == [
+            ("urgent-before", 1.0),
+            ("urgent-after", 1.0),
+            ("normal-before", 1.0),
+            ("normal-after", 1.0),
+            ("urgent-from-cascade", 1.0),
+            ("late", 1.0),
+            ("normal-from-late", 1.0),
+            ("next-instant", 1.0 + 1e-9),
+        ]
+
+
+class TestInvalidDelays:
+    """A NaN time would break the heap's tuple order (every compare with
+    it is false), so the clock could run backwards; the kernel rejects it
+    where it enters, along with negative delays."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda env: env.timeout(float("nan")),
+            lambda env: env.schedule(env.event(), delay=float("nan")),
+            lambda env: env.schedule(env.event(), delay=-1.0),
+            lambda env: env.run(until=float("nan")),
+        ],
+        ids=["timeout", "schedule", "schedule-negative", "run-until"],
+    )
+    def test_rejected(self, schedule):
+        env = Environment()
+        env.timeout(1.0)
+        with pytest.raises(SimulationError):
+            schedule(env)
+        assert env.peek() == 1.0
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        __import__(
+            "tests.faults.test_zero_perturbation", fromlist=["CASES"]
+        ).CASES
+    ),
+)
+def test_pins_hold_with_tracer_and_sampler_attached(name, vgg19_partition):
+    """The five pinned scenarios, run with both observers attached at
+    once, stay bit-identical (traced-only and sampled-only variants are
+    pinned in their own suites)."""
+    from repro.hardware import Cluster, ClusterSpec
+    from repro.obs import Tracer
+    from repro.obs.timeseries import Sampler
+    from tests.faults.test_zero_perturbation import CASES, PINNED, _config
+
+    cls, make_straggler, kwargs = CASES[name]
+    cluster = Cluster(ClusterSpec(num_nodes=8))
+    runtime = cls(
+        _config(vgg19_partition, **kwargs),
+        cluster,
+        straggler=make_straggler(),
+        tracer=Tracer(),
+        sampler=Sampler(interval=0.5),
+    )
+    assert repr(runtime.run().total_time) == PINNED[name]

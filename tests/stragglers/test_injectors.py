@@ -93,3 +93,19 @@ class TestTransient:
             TransientStraggler(1.0, hits=-1)
         with pytest.raises(ConfigurationError):
             TransientStraggler(1.0, persistence=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: RoundRobinStraggler(d),
+        lambda d: ProbabilityStraggler(0.5, d),
+        lambda d: TransientStraggler(d),
+    ],
+    ids=["rr", "prob", "transient"],
+)
+def test_nan_delay_rejected(make):
+    """A NaN delay slips past ``delay < 0`` and would then silently run
+    as no straggler at all."""
+    with pytest.raises(ConfigurationError, match="delay"):
+        make(float("nan"))
